@@ -14,21 +14,20 @@ import json
 import re
 import sys
 
-from .dataset import AnnotationSet, build_graph, serialize_dataset, \
-    structural_parse, validate
+from .dataset import AnnotationSet, _ingest, serialize_dataset, \
+    structural_parse
 from .errors import (
     ContradictoryRules,
     DomainGap,
     EmptyUniverse,
     IncompleteRules,
     InvalidRuleSpec,
-    LabelFlowError,
     MalformedInput,
     UnknownLabel,
     UnknownNode,
 )
 from .info import dependency, label_report, path_distance, path_report
-from .model import LabeledGraph, Node, Region
+from .model import Document, LabeledGraph, Node, Region
 from .synth import generate_universe, rulespec_from_json
 
 NODE_KEY = re.compile(r"^(.+):(\d+)-(\d+)$")
@@ -54,7 +53,7 @@ def _read_bytes(path: str) -> bytes:
         raise _Failure(2, message=f"cannot read {path}: {exc}") from None
 
 
-def _load_dataset(path: str) -> AnnotationSet:
+def _load_dataset(path: str) -> tuple[AnnotationSet, LabeledGraph]:
     data = _read_bytes(path)
     try:
         annset = structural_parse(data)
@@ -64,10 +63,10 @@ def _load_dataset(path: str) -> AnnotationSet:
             "message": str(exc),
             "annotations": [],
         }]) from None
-    findings = validate(annset)
+    findings, graph = _ingest(annset)
     if findings:
         raise _Failure(1, payload=[f.to_json_dict() for f in findings])
-    return annset
+    return annset, graph
 
 
 def _checked_labels(graph: LabeledGraph, names: list[str]) -> list[str]:
@@ -95,9 +94,8 @@ def cmd_validate(args) -> list:
     return []
 
 
-def _surface_label(annset: AnnotationSet, node: Node) -> str:
-    doc = annset.document(node.region.doc_id)
-    surface = doc.surface(node.region).split("\n", 1)[0]
+def _surface_label(docs: dict[str, Document], node: Node) -> str:
+    surface = docs[node.region.doc_id].surface(node.region).split("\n", 1)[0]
     if len(surface) > 40:
         surface = surface[:40] + "…"
     return surface
@@ -108,12 +106,12 @@ def _dot_escape(text: str) -> str:
 
 
 def cmd_graph(args):
-    annset = _load_dataset(args.dataset)
-    graph = build_graph(annset)
+    annset, graph = _load_dataset(args.dataset)
+    docs = {doc.id: doc for doc in annset.documents}
     if args.format == "json":
         return {
             "nodes": [
-                {"key": n.key, "surface": _surface_label(annset, n)}
+                {"key": n.key, "surface": _surface_label(docs, n)}
                 for n in graph.sorted_nodes()
             ],
             "edges": [
@@ -129,7 +127,7 @@ def cmd_graph(args):
     lines = ["digraph labelflow {"]
     for node in graph.sorted_nodes():
         lines.append(f'  "{_dot_escape(node.key)}" '
-                     f'[label="{_dot_escape(_surface_label(annset, node))}"];')
+                     f'[label="{_dot_escape(_surface_label(docs, node))}"];')
     for edge in graph.sorted_edges():
         direction = graph.label(edge.label).direction.value
         lines.append(f'  "{_dot_escape(edge.source.key)}" -> '
@@ -141,7 +139,7 @@ def cmd_graph(args):
 
 
 def cmd_entropy(args):
-    graph = build_graph(_load_dataset(args.dataset))
+    _, graph = _load_dataset(args.dataset)
     try:
         if args.label is not None:
             _checked_labels(graph, [args.label])
@@ -164,7 +162,7 @@ def cmd_entropy(args):
 
 
 def cmd_depend(args):
-    graph = build_graph(_load_dataset(args.dataset))
+    _, graph = _load_dataset(args.dataset)
     from_labels = _checked_labels(graph, args.from_labels.split(","))
     (to_label,) = _checked_labels(graph, [args.to_label])
     try:
@@ -176,7 +174,7 @@ def cmd_depend(args):
 
 
 def cmd_distance(args):
-    graph = build_graph(_load_dataset(args.dataset))
+    _, graph = _load_dataset(args.dataset)
     source = Node(_parse_node_key(args.source))
     target = Node(_parse_node_key(args.target))
     try:
@@ -293,9 +291,6 @@ def main(argv=None) -> int:
         if failure.payload is not None:
             _emit(failure.payload)
         return failure.code
-    except LabelFlowError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -15,6 +15,10 @@ offsets into the UTF-8 encoding of the document text, half-open. Canonical
 serialization sorts documents by id, labels by name, and annotations by
 (doc, mention.start, mention.end, label), with the entity span as a final
 tiebreak, and drops exact duplicate annotations.
+
+Ingest is one pass, ``_ingest``: it records every violation as a Finding
+and fills the graph's map as it goes. ``validate`` returns all findings,
+``build_graph`` the graph or the first finding as a typed error.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .errors import (
     BadNesting,
     DuplicateDocId,
     DuplicateLabelName,
+    LabelFlowError,
     MalformedInput,
     MapNotWellDefined,
     SpanOutOfBounds,
@@ -39,6 +44,7 @@ from .model import (
     Document,
     LabelDecl,
     LabeledGraph,
+    Node,
     Region,
     map_endpoints,
     region_contains,
@@ -63,6 +69,11 @@ class Finding:
             "message": self.message,
             "annotations": list(self.annotations),
         }
+
+
+def _dedup(annotations: list[Annotation]) -> list[Annotation]:
+    """Annotations without exact repeats, first occurrences in order."""
+    return list(dict.fromkeys(annotations))
 
 
 def _ann_sort_key(ann: Annotation):
@@ -90,16 +101,10 @@ class AnnotationSet:
 
     def canonical(self) -> "AnnotationSet":
         """Sorted, deduplicated copy in the serialization order."""
-        seen: set[Annotation] = set()
-        anns = []
-        for ann in sorted(self.annotations, key=_ann_sort_key):
-            if ann not in seen:
-                seen.add(ann)
-                anns.append(ann)
         return AnnotationSet(
             documents=sorted(self.documents, key=lambda d: d.id),
             labels=sorted(self.labels, key=lambda l: l.name),
-            annotations=anns,
+            annotations=_dedup(sorted(self.annotations, key=_ann_sort_key)),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -121,6 +126,13 @@ def _require(cond: bool, message: str) -> None:
 def _as_str(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     _require(isinstance(value, str), f"{where}: field {key!r} must be a string")
+    if not value.isascii():
+        # JSON admits lone surrogate escapes, which have no UTF-8 form
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedInput(f"{where}: field {key!r} is not encodable "
+                                 f"as UTF-8 (lone surrogate)") from None
     return value
 
 
@@ -195,12 +207,12 @@ def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
     return AnnotationSet(documents, labels, annotations)
 
 
-# -- validation --------------------------------------------------------
+# -- validation and graph construction -------------------------------
 
 _FINDING_ERRORS = {
     "duplicate-doc-id": DuplicateDocId,
     "duplicate-label-name": DuplicateLabelName,
-    "empty-label-name": DuplicateLabelName,
+    "empty-label-name": MalformedInput,
     "unknown-document": UnknownDocument,
     "unknown-label": UnknownLabel,
     "span-out-of-bounds": SpanOutOfBounds,
@@ -220,15 +232,11 @@ def _span_finding(region: Region, byte_length: int, index: int,
     return None
 
 
-def validate(annset: AnnotationSet, *, conflicts: bool = True) -> list[Finding]:
-    """All violations in a deterministic order: document findings, label
-    findings, per-annotation findings in input order, then per-label
-    functionality conflicts.
-
-    The list is empty iff build_graph would succeed. With
-    ``conflicts=False`` the functionality scan is skipped; that is the
-    part of validation that parse_dataset defers to build_graph.
-    """
+def _ingest(annset: AnnotationSet) -> tuple[list[Finding], LabeledGraph]:
+    """Every finding, in validate's order, and the graph of the
+    annotations without a per-annotation finding. An annotation that
+    would give a source a second target is a map conflict, reported
+    once however often it is repeated."""
     findings: list[Finding] = []
 
     doc_lengths: dict[str, int] = {}
@@ -250,22 +258,23 @@ def validate(annset: AnnotationSet, *, conflicts: bool = True) -> list[Finding]:
         else:
             decls[decl.name] = decl
 
-    clean: list[tuple[int, Annotation]] = []
+    graph = LabeledGraph(decls.values())
+    first: dict[tuple[str, Node], int] = {}
+    conflicts: list[Finding] = []
+    reported: set[Annotation] = set()
     for i, ann in enumerate(annset.annotations):
-        ok = True
-        if ann.label not in decls:
+        decl = decls.get(ann.label)
+        if decl is None:
             findings.append(Finding("unknown-label",
                                     f"annotation {i}: label {ann.label!r} "
                                     f"is not declared", (i,)))
-            ok = False
-        if ann.mention.doc_id not in doc_lengths:
+        length = doc_lengths.get(ann.mention.doc_id)
+        if length is None:
             findings.append(Finding("unknown-document",
                                     f"annotation {i}: document "
                                     f"{ann.mention.doc_id!r} is not declared",
                                     (i,)))
-            ok = False
             continue
-        length = doc_lengths[ann.mention.doc_id]
         spans_ok = True
         for region, role in ((ann.mention, "mention"), (ann.entity, "entity")):
             bad = _span_finding(region, length, i, role)
@@ -281,51 +290,77 @@ def validate(annset: AnnotationSet, *, conflicts: bool = True) -> list[Finding]:
                 f"{ann.mention.end}) is not strictly inside entity "
                 f"[{ann.entity.start}, {ann.entity.end})", (i,)))
             continue
-        if ok:
-            clean.append((i, ann))
+        if decl is None:
+            continue
+        source, target = map_endpoints(decl, ann)
+        current = graph._bind(ann.label, source, target)
+        if current is None:
+            first.setdefault((ann.label, source), i)
+        elif ann not in reported:
+            reported.add(ann)
+            j = first[(ann.label, source)]
+            conflicts.append(Finding(
+                "map-conflict",
+                f"annotations {j} and {i}: label {ann.label!r} maps "
+                f"{source.key} to both {current.key} and {target.key}",
+                (j, i)))
 
-    if conflicts:
-        first: dict[tuple, tuple[int, Region]] = {}
-        seen: set[Annotation] = set()
-        for i, ann in clean:
-            if ann in seen:
-                continue  # exact duplicates are deduplicated silently
-            seen.add(ann)
-            decl = decls[ann.label]
-            source, target = map_endpoints(decl, ann)
-            prev = first.get((ann.label, source))
-            if prev is None:
-                first[(ann.label, source)] = (i, target.region)
-            elif prev[1] != target.region:
-                findings.append(Finding(
-                    "map-conflict",
-                    f"annotations {prev[0]} and {i}: label {ann.label!r} "
-                    f"maps {source.key} to both {prev[1].key} and "
-                    f"{target.region.key}", (prev[0], i)))
+    return findings + conflicts, graph
 
-    return findings
+
+def _error(annset: AnnotationSet, finding: Finding) -> LabelFlowError:
+    """The typed error for a finding; a map conflict names the label,
+    the source, both targets and both annotation indices."""
+    if finding.kind != "map-conflict":
+        return _FINDING_ERRORS[finding.kind](finding.message)
+    j, i = finding.annotations
+    label = annset.annotations[j].label
+    decl = next(d for d in annset.labels if d.name == label)
+    (source, first), (_, second) = (
+        map_endpoints(decl, annset.annotations[k]) for k in (j, i))
+    return MapNotWellDefined(
+        finding.message, label=label, source=source.key,
+        first_target=first.key, second_target=second.key,
+        first_index=j, second_index=i)
+
+
+def validate(annset: AnnotationSet) -> list[Finding]:
+    """All violations in a deterministic order: document findings, label
+    findings, per-annotation findings in input order, then per-label
+    map conflicts in input order.
+
+    The list is empty iff build_graph would succeed: both come from the
+    same single pass over the set.
+    """
+    return _ingest(annset)[0]
+
+
+def build_graph(annset: AnnotationSet) -> LabeledGraph:
+    """The LabeledGraph of all annotations; order-insensitive.
+
+    Raises the typed error of the first finding validate would report.
+    A map conflict raises MapNotWellDefined naming both annotation
+    indices.
+    """
+    findings, graph = _ingest(annset)
+    if findings:
+        raise _error(annset, findings[0])
+    return graph
 
 
 def parse_dataset(data: Union[bytes, str]) -> AnnotationSet:
     """Parse and fully validate a dataset.
 
     Exact duplicate annotations are dropped silently. Raises the typed
-    error for the first validation finding; functionality conflicts are
-    not checked here (build_graph reports them with both annotations
-    identified).
+    error for the first finding other than a map conflict; conflicts are
+    left to build_graph, which reports them with both annotations
+    identified.
     """
     annset = structural_parse(data)
-    findings = validate(annset, conflicts=False)
-    if findings:
-        first = findings[0]
-        raise _FINDING_ERRORS[first.kind](first.message)
-    deduped: list[Annotation] = []
-    seen: set[Annotation] = set()
-    for ann in annset.annotations:
-        if ann not in seen:
-            seen.add(ann)
-            deduped.append(ann)
-    annset.annotations = deduped
+    findings = validate(annset)
+    if findings and findings[0].kind != "map-conflict":
+        raise _error(annset, findings[0])
+    annset.annotations = _dedup(annset.annotations)
     return annset
 
 
@@ -356,33 +391,3 @@ def serialize_dataset(annset: AnnotationSet) -> bytes:
     for every valid set."""
     text = json.dumps(to_json_obj(annset), indent=2, ensure_ascii=False)
     return (text + "\n").encode("utf-8")
-
-
-# -- graph construction ------------------------------------------------
-
-
-def build_graph(annset: AnnotationSet) -> LabeledGraph:
-    """Fold all annotations into a LabeledGraph, in input order.
-
-    The result is order-insensitive for valid sets. On a functionality
-    conflict the raised MapNotWellDefined names both annotation indices.
-    """
-    graph = LabeledGraph(annset.labels)
-    first: dict[tuple, int] = {}
-    for i, ann in enumerate(annset.annotations):
-        decl = graph.label(ann.label)
-        source, _ = map_endpoints(decl, ann)
-        try:
-            graph.add(ann)
-        except MapNotWellDefined as exc:
-            raise MapNotWellDefined(
-                f"annotations {first[(ann.label, source)]} and {i}: {exc}",
-                label=exc.label,
-                source=exc.source,
-                first_target=exc.first_target,
-                second_target=exc.second_target,
-                first_index=first[(ann.label, source)],
-                second_index=i,
-            ) from None
-        first.setdefault((ann.label, source), i)
-    return graph

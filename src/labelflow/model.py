@@ -131,16 +131,16 @@ def map_endpoints(decl: LabelDecl, ann: Annotation) -> tuple[Node, Node]:
 class LabeledGraph:
     """Regions as nodes, map instances as edges.
 
-    Per label, the edge set is kept a partial function on nodes: adding an
-    edge whose source already points at a different target under the same
-    label raises MapNotWellDefined. Construction is single-writer; a fully
-    built graph is treated as immutable and is safe for concurrent reads.
+    The graph stores one map, (label, source node) -> target node; its
+    nodes and edges are views of that map. Per label the map stays a
+    partial function on nodes: adding an edge whose source already points
+    at a different target under the same label raises MapNotWellDefined.
+    Construction is single-writer; a fully built graph is treated as
+    immutable and is safe for concurrent reads.
     """
 
     def __init__(self, labels: Iterable[LabelDecl] = ()):
         self._labels: dict[str, LabelDecl] = {}
-        self._nodes: set[Node] = set()
-        self._edges: set[MapEdge] = set()
         self._target_of: dict[tuple[str, Node], Node] = {}
         for decl in labels:
             self.declare(decl)
@@ -165,10 +165,8 @@ class LabeledGraph:
                 f"entity {ann.entity.key}"
             )
         source, target = map_endpoints(decl, ann)
-        current = self._target_of.get((ann.label, source))
+        current = self._bind(ann.label, source, target)
         if current is not None:
-            if current == target:
-                return
             raise MapNotWellDefined(
                 f"label {ann.label!r} already maps {source.key} to "
                 f"{current.key}, cannot also map it to {target.key}",
@@ -177,12 +175,19 @@ class LabeledGraph:
                 first_target=current.key,
                 second_target=target.key,
             )
-        self._target_of[(ann.label, source)] = target
-        self._nodes.add(source)
-        self._nodes.add(target)
-        self._edges.add(MapEdge(ann.label, source, target))
+
+    def _bind(self, label: str, source: Node, target: Node) -> Node | None:
+        """Map ``source`` to ``target`` under ``label``, unless the label
+        already maps it elsewhere: then leave the map as it is and return
+        that other target, so every label stays a function."""
+        current = self._target_of.setdefault((label, source), target)
+        return None if current == target else current
 
     # -- read side -----------------------------------------------------
+
+    def _edges(self) -> Iterator[MapEdge]:
+        return (MapEdge(label, source, target)
+                for (label, source), target in self._target_of.items())
 
     @property
     def labels(self) -> dict[str, LabelDecl]:
@@ -190,11 +195,12 @@ class LabeledGraph:
 
     @property
     def nodes(self) -> frozenset[Node]:
-        return frozenset(self._nodes)
+        return frozenset(s for _, s in self._target_of).union(
+            self._target_of.values())
 
     @property
     def edges(self) -> frozenset[MapEdge]:
-        return frozenset(self._edges)
+        return frozenset(self._edges())
 
     def label(self, name: str) -> LabelDecl:
         try:
@@ -203,7 +209,7 @@ class LabeledGraph:
             raise UnknownLabel(f"label {name!r} is not declared") from None
 
     def has_node(self, node: Node) -> bool:
-        return node in self._nodes
+        return node in self.nodes
 
     def target(self, label: str, node: Node) -> Node | None:
         """Image of ``node`` under ``label``, or None if outside the domain."""
@@ -224,30 +230,27 @@ class LabeledGraph:
                             if name == label and t == target))
 
     def out_edges(self, node: Node) -> tuple[MapEdge, ...]:
-        return tuple(sorted(e for e in self._edges if e.source == node))
+        return tuple(sorted(MapEdge(name, s, t)
+                            for (name, s), t in self._target_of.items()
+                            if s == node))
 
     def in_edges(self, node: Node) -> tuple[MapEdge, ...]:
-        return tuple(sorted(e for e in self._edges if e.target == node))
+        return tuple(sorted(MapEdge(name, s, t)
+                            for (name, s), t in self._target_of.items()
+                            if t == node))
 
     def sorted_nodes(self) -> Iterator[Node]:
-        return iter(sorted(self._nodes))
+        return iter(sorted(self.nodes))
 
     def sorted_edges(self) -> Iterator[MapEdge]:
-        return iter(sorted(self._edges))
+        return iter(sorted(self._edges()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
         return (self._labels == other._labels
-                and self._nodes == other._nodes
-                and self._edges == other._edges)
+                and self._target_of == other._target_of)
 
     def __repr__(self) -> str:
         return (f"LabeledGraph(labels={len(self._labels)}, "
-                f"nodes={len(self._nodes)}, edges={len(self._edges)})")
-
-
-def add_annotation(graph: LabeledGraph, ann: Annotation) -> LabeledGraph:
-    """Add ``ann`` to ``graph`` in place and return the graph."""
-    graph.add(ann)
-    return graph
+                f"nodes={len(self.nodes)}, edges={len(self._target_of)})")

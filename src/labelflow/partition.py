@@ -112,6 +112,25 @@ def fibers(graph: LabeledGraph, label: str,
     return partition_from_map(universe, lambda n: graph.target(label, n))
 
 
+def _check_path(graph: LabeledGraph, labels: Sequence[str]) -> None:
+    if not labels:
+        raise DomainGap("a label path needs at least one label")
+    for name in labels:
+        graph.label(name)
+
+
+def _walk(graph: LabeledGraph, labels: Sequence[str],
+          node: Node) -> tuple[int, Node]:
+    """Follow the label path from node as far as it is defined: the
+    number of steps taken and the node reached."""
+    for step, name in enumerate(labels):
+        nxt = graph.target(name, node)
+        if nxt is None:
+            return step, node
+        node = nxt
+    return len(labels), node
+
+
 def composite_domain(graph: LabeledGraph,
                      labels: Sequence[str]) -> tuple[list[Node], list[Node]]:
     """Largest subset of the first label's domain on which the whole
@@ -119,31 +138,13 @@ def composite_domain(graph: LabeledGraph,
 
     Returns (kept, excluded), both sorted.
     """
-    if not labels:
-        raise DomainGap("a label path needs at least one label")
-    for name in labels:
-        graph.label(name)
-    start = graph.domain(labels[0])
+    _check_path(graph, labels)
     kept: list[Node] = []
     excluded: list[Node] = []
-    for node in start:
-        if composite_target(graph, labels, node) is None:
-            excluded.append(node)
-        else:
-            kept.append(node)
+    for node in graph.domain(labels[0]):
+        step, _ = _walk(graph, labels, node)
+        (kept if step == len(labels) else excluded).append(node)
     return kept, excluded
-
-
-def composite_target(graph: LabeledGraph, labels: Sequence[str],
-                     node: Node) -> Node | None:
-    """Follow the label path from node; None where any step is
-    undefined."""
-    current = node
-    for name in labels:
-        current = graph.target(name, current)
-        if current is None:
-            return None
-    return current
 
 
 def composite_partition(graph: LabeledGraph, labels: Sequence[str],
@@ -153,22 +154,17 @@ def composite_partition(graph: LabeledGraph, labels: Sequence[str],
     Every node of universe must complete the whole path; a node that
     cannot raises DomainGap naming the failing step.
     """
-    if not labels:
-        raise DomainGap("a label path needs at least one label")
-    for name in labels:
-        graph.label(name)
+    _check_path(graph, labels)
     targets: dict[Node, Node] = {}
     for node in universe:
-        current = node
-        for step, name in enumerate(labels):
-            nxt = graph.target(name, current)
-            if nxt is None:
-                raise DomainGap(
-                    f"label {name!r} (step {step + 1} of the path) is "
-                    f"undefined at {current.key}, reached from {node.key}",
-                    label=name, nodes=(node,), step=step)
-            current = nxt
-        targets[node] = current
+        step, reached = _walk(graph, labels, node)
+        if step < len(labels):
+            name = labels[step]
+            raise DomainGap(
+                f"label {name!r} (step {step + 1} of the path) is "
+                f"undefined at {reached.key}, reached from {node.key}",
+                label=name, nodes=(node,), step=step)
+        targets[node] = reached
     return partition_from_map(universe, targets.__getitem__)
 
 

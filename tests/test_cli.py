@@ -320,3 +320,29 @@ class TestDeterminism:
             second = run(*argv)
             assert first == second
             assert first[0] == 0
+
+
+class TestLoneSurrogates:
+    """A JSON \\ud800 escape decodes to a string with no UTF-8 form; the
+    CLI reports it as malformed input instead of failing on output."""
+
+    @pytest.mark.parametrize("command", ["validate", "graph"])
+    @pytest.mark.parametrize("field", ["text", "id", "name"])
+    def test_rejected_as_malformed(self, run, tmp_path, command, field):
+        obj = eq12_dataset()
+        if field == "text":
+            obj["documents"][0]["text"] += "\ud800"
+        elif field == "id":
+            obj["documents"][0]["id"] += "\ud800"
+            for ann in obj["annotations"]:
+                ann["doc"] += "\ud800"
+        else:
+            obj["labels"][0]["name"] += "\ud800"
+            for ann in obj["annotations"]:
+                ann["label"] += "\ud800"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(command, str(path))
+        assert code == 1
+        assert [f["kind"] for f in json.loads(out)] == ["malformed-input"]
+        assert "Traceback" not in err and "internal error" not in err

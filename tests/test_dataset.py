@@ -13,12 +13,14 @@ from labelflow import (
     SpanOutOfBounds,
     UnknownDocument,
     UnknownLabel,
+    LabeledGraph,
     build_graph,
     generate_universe,
     parse_dataset,
     serialize_dataset,
     validate,
 )
+from labelflow.dataset import structural_parse
 from conftest import eq12_dataset, fig2_dataset, graph_of, random_rulespec
 
 MINIMAL = {
@@ -123,6 +125,22 @@ class TestParse:
         with pytest.raises(DuplicateLabelName):
             parse_dataset(as_json(bad))
 
+    def test_empty_label_name_is_malformed(self):
+        bad = variant(labels=[{"name": "", "direction": "forward"}],
+                      annotations=[])
+        with pytest.raises(MalformedInput):
+            parse_dataset(as_json(bad))
+
+    @pytest.mark.parametrize("field", ["id", "text", "name", "doc", "label"])
+    def test_lone_surrogate_is_malformed(self, field):
+        obj = variant()
+        where = {"id": obj["documents"][0], "text": obj["documents"][0],
+                 "name": obj["labels"][0], "doc": obj["annotations"][0],
+                 "label": obj["annotations"][0]}[field]
+        where[field] += "\ud800"
+        with pytest.raises(MalformedInput, match="surrogate"):
+            structural_parse(as_json(obj))
+
     def test_exact_duplicates_dropped(self):
         doubled = variant(annotations=MINIMAL["annotations"] * 3)
         assert len(parse_dataset(as_json(doubled)).annotations) == 1
@@ -137,12 +155,10 @@ class TestValidate:
             {"doc": "d", "label": "color", "mention": [50, 60],
              "entity": [0, 99]},
         ])
-        from labelflow.dataset import structural_parse
         findings = validate(structural_parse(as_json(bad)))
         assert [f.kind for f in findings] == ["span-out-of-bounds"] * 2
 
     def test_conflict_names_both_annotations(self):
-        from labelflow.dataset import structural_parse
         obj = variant(
             documents=[{"id": "d", "text": "x" * 50}],
             annotations=[
@@ -160,7 +176,6 @@ class TestValidate:
         assert findings[0].annotations == (0, 1)
 
     def test_finding_order_is_input_order(self):
-        from labelflow.dataset import structural_parse
         obj = variant(annotations=[
             {"doc": "ghost", "label": "color", "mention": [0, 3],
              "entity": [0, 9]},
@@ -245,6 +260,12 @@ class TestBuildGraph:
             build_graph(annset)
         assert (err.value.first_index, err.value.second_index) == (0, 1)
 
+    def test_out_of_bounds_span_is_refused(self):
+        bad = variant(annotations=[{"doc": "d", "label": "color",
+                                    "mention": [0, 3], "entity": [0, 99]}])
+        with pytest.raises(SpanOutOfBounds):
+            build_graph(structural_parse(as_json(bad)))
+
     def test_order_insensitive(self):
         base = eq12_dataset()
         g1 = graph_of(base)
@@ -253,3 +274,61 @@ class TestBuildGraph:
             shuffled = json.loads(json.dumps(base))
             rng.shuffle(shuffled["annotations"])
             assert graph_of(shuffled) == g1
+
+
+# -- validate and build_graph agree ------------------------------------
+
+FINDING_ERRORS = {
+    "duplicate-doc-id": DuplicateDocId,
+    "duplicate-label-name": DuplicateLabelName,
+    "empty-label-name": MalformedInput,
+    "unknown-document": UnknownDocument,
+    "unknown-label": UnknownLabel,
+    "span-out-of-bounds": SpanOutOfBounds,
+    "bad-nesting": BadNesting,
+    "map-conflict": MapNotWellDefined,
+}
+
+_spans = st.lists(st.integers(0, 12), min_size=2, max_size=2)
+small_datasets = st.fixed_dictionaries({
+    "documents": st.lists(st.fixed_dictionaries({
+        "id": st.sampled_from(["d", "e"]),
+        "text": st.sampled_from(["red bag.\n", "café noir", "x" * 12]),
+    }), max_size=3),
+    "labels": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from(["", "a", "b"]),
+        "direction": st.sampled_from(["forward", "backward"]),
+    }), max_size=3),
+    "annotations": st.lists(st.fixed_dictionaries({
+        "doc": st.sampled_from(["d", "e", "ghost"]),
+        "label": st.sampled_from(["a", "b", "nope"]),
+        "mention": _spans,
+        "entity": _spans,
+    }), max_size=8),
+})
+
+
+class TestValidateAgreesWithBuild:
+    @given(small_datasets)
+    def test_no_findings_iff_build_succeeds(self, obj):
+        annset = structural_parse(as_json(obj))
+        findings = validate(annset)
+        if not findings:
+            build_graph(annset)
+            return
+        with pytest.raises(FINDING_ERRORS[findings[0].kind]) as err:
+            build_graph(annset)
+        assert type(err.value) is FINDING_ERRORS[findings[0].kind]
+        if findings[0].kind == "map-conflict":
+            assert (err.value.first_index, err.value.second_index) == \
+                findings[0].annotations
+
+    @given(small_datasets)
+    def test_graph_equals_one_add_per_annotation(self, obj):
+        annset = structural_parse(as_json(obj))
+        if validate(annset):
+            return
+        expected = LabeledGraph(annset.labels)
+        for ann in annset.annotations:
+            expected.add(ann)
+        assert build_graph(annset) == expected

@@ -14,7 +14,6 @@ from labelflow import (
     Node,
     Region,
     UnknownLabel,
-    add_annotation,
     map_endpoints,
     region_contains,
 )
@@ -60,7 +59,7 @@ class TestAddAnnotation:
     def test_forward_edge_orientation(self):
         g = forward_graph()
         ann = Annotation("class", mention=region(17, 20), entity=region(9, 27))
-        add_annotation(g, ann)
+        g.add(ann)
         assert MapEdge("class", Node(region(17, 20)), Node(region(9, 27))) in g.edges
 
     def test_backward_edge_orientation(self):
