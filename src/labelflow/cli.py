@@ -80,10 +80,14 @@ def _checked_labels(graph: LabeledGraph, names: list[str]) -> list[str]:
 
 def _parse_node_key(key: str) -> Region:
     match = NODE_KEY.match(key)
-    if not match:
-        raise _Failure(2, message=f"bad node key {key!r}; "
-                                  f"expected doc:start-end")
-    return Region(match.group(1), int(match.group(2)), int(match.group(3)))
+    try:
+        if match:
+            return Region(match.group(1), int(match.group(2)),
+                          int(match.group(3)))
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise _Failure(2, message=f"bad node key {key!r}; "
+                              f"expected doc:start-end")
 
 
 # -- commands ----------------------------------------------------------
@@ -188,7 +192,9 @@ def cmd_synth(args):
     data = _read_bytes(args.rulespec)
     try:
         obj = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (RecursionError, ValueError) as exc:
+        # also nesting past the recursion limit and integers with more
+        # digits than the interpreter converts
         raise _Failure(1, payload={
             "error": "invalid-rule-spec",
             "message": f"rule spec is not valid JSON: {exc}",
@@ -196,7 +202,7 @@ def cmd_synth(args):
     try:
         spec = rulespec_from_json(obj)
         annset = generate_universe(spec)
-    except InvalidRuleSpec as exc:
+    except (InvalidRuleSpec, RecursionError) as exc:  # or nested too deep
         raise _Failure(1, payload={"error": "invalid-rule-spec",
                                    "message": str(exc)}) from None
     except IncompleteRules as exc:

@@ -159,6 +159,11 @@ def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"input is not valid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the recursion limit, or an integer with
+        # more digits than the interpreter converts
+        raise MalformedInput(f"input is beyond the JSON parser's limits: "
+                             f"{exc}") from None
 
     _require(isinstance(obj, dict), "top level must be a JSON object")
     expected = {"documents", "labels", "annotations"}

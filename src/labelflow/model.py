@@ -7,14 +7,20 @@ forward label maps mention to entity (small to large), a backward label maps
 entity to mention. Nodes of the induced graph are regions; two annotations
 that touch the same region share a node, which is what stitches separate
 labels into chains.
+
+Regions, nodes, labels, annotations and edges are frozen dataclasses
+with slots, as a dataset makes several of them per annotation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator
+from operator import attrgetter
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from .errors import BadNesting, DuplicateLabelName, MapNotWellDefined, UnknownLabel
 
@@ -41,7 +47,7 @@ class Document:
         return self.data[region.start:region.end].decode("utf-8", errors="replace")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Region:
     """Half-open byte span [start, end) on one document.
 
@@ -77,7 +83,7 @@ class Direction(str, Enum):
     BACKWARD = "backward"  # entity -> mention, large region to small
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelDecl:
     """A named map together with its direction."""
 
@@ -85,7 +91,7 @@ class LabelDecl:
     direction: Direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Annotation:
     """One instance of a label: a (mention, entity) region pair.
 
@@ -99,7 +105,7 @@ class Annotation:
     entity: Region
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Node:
     """A graph node. Identity is exactly region identity."""
 
@@ -110,7 +116,7 @@ class Node:
         return self.region.key
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MapEdge:
     """A directed edge: one map instance from source node to target node."""
 
@@ -128,20 +134,40 @@ def map_endpoints(decl: LabelDecl, ann: Annotation) -> tuple[Node, Node]:
     return entity, mention
 
 
+# Sort key for nodes: the order of comparing the nodes themselves, with
+# no Python-level comparison per pair.
+node_order = attrgetter("region.doc_id", "region.start", "region.end")
+
+_NO_EDGES: Mapping[Node, Node] = MappingProxyType({})
+
+
 class LabeledGraph:
     """Regions as nodes, map instances as edges.
 
-    The graph stores one map, (label, source node) -> target node; its
-    nodes and edges are views of that map. Per label the map stays a
-    partial function on nodes: adding an edge whose source already points
-    at a different target under the same label raises MapNotWellDefined.
+    The graph stores one map per declared label, source node -> target
+    node; its nodes and edges are views of those maps. Per label the map
+    stays a partial function on nodes: adding an edge whose source
+    already points at a different target under the same label raises
+    MapNotWellDefined. Maps only grow.
+
+    Costs, for L labels, E edges and a label with n sources:
+    ``target`` is O(1) on average, ``has_node`` and ``out_edges`` are
+    O(L), ``domain`` is O(n log n) the first time after the label's map
+    grew and O(1) after that (a cached sorted tuple), ``image`` and
+    ``sources`` are O(n), and ``in_edges``, ``edges`` and the sorted
+    listings are O(E) or O(E log E). The node set is cached like a
+    domain and rebuilt in O(E) after the graph grew.
+
     Construction is single-writer; a fully built graph is treated as
     immutable and is safe for concurrent reads.
     """
 
     def __init__(self, labels: Iterable[LabelDecl] = ()):
         self._labels: dict[str, LabelDecl] = {}
-        self._target_of: dict[tuple[str, Node], Node] = {}
+        self._maps: dict[str, dict[Node, Node]] = {}
+        self._domains: dict[str, tuple[Node, ...]] = {}
+        # (edge count it was built at, node set)
+        self._node_set: tuple[int, frozenset[Node]] = (0, frozenset())
         for decl in labels:
             self.declare(decl)
 
@@ -153,6 +179,7 @@ class LabeledGraph:
                 f"{existing.direction.value}"
             )
         self._labels[decl.name] = decl
+        self._maps.setdefault(decl.name, {})
 
     def add(self, ann: Annotation) -> None:
         """Add one annotation. Idempotent for an exact duplicate."""
@@ -177,17 +204,19 @@ class LabeledGraph:
             )
 
     def _bind(self, label: str, source: Node, target: Node) -> Node | None:
-        """Map ``source`` to ``target`` under ``label``, unless the label
-        already maps it elsewhere: then leave the map as it is and return
-        that other target, so every label stays a function."""
-        current = self._target_of.setdefault((label, source), target)
+        """Map ``source`` to ``target`` under the declared ``label``,
+        unless the label already maps it elsewhere: then leave the map as
+        it is and return that other target, so every label stays a
+        function."""
+        current = self._maps[label].setdefault(source, target)
         return None if current == target else current
 
     # -- read side -----------------------------------------------------
 
     def _edges(self) -> Iterator[MapEdge]:
         return (MapEdge(label, source, target)
-                for (label, source), target in self._target_of.items())
+                for label, edges in self._maps.items()
+                for source, target in edges.items())
 
     @property
     def labels(self) -> dict[str, LabelDecl]:
@@ -195,8 +224,12 @@ class LabeledGraph:
 
     @property
     def nodes(self) -> frozenset[Node]:
-        return frozenset(s for _, s in self._target_of).union(
-            self._target_of.values())
+        size = sum(map(len, self._maps.values()))
+        if size != self._node_set[0]:  # the graph grew since
+            self._node_set = (size, frozenset(itertools.chain.from_iterable(
+                itertools.chain(edges, edges.values())
+                for edges in self._maps.values())))
+        return self._node_set[1]
 
     @property
     def edges(self) -> frozenset[MapEdge]:
@@ -208,49 +241,63 @@ class LabeledGraph:
         except KeyError:
             raise UnknownLabel(f"label {name!r} is not declared") from None
 
+    def label_map(self, label: str) -> Mapping[Node, Node]:
+        """The label's map, source -> target; empty for an undeclared
+        label. A live view: read it, never write it."""
+        return self._maps.get(label, _NO_EDGES)
+
     def has_node(self, node: Node) -> bool:
         return node in self.nodes
 
     def target(self, label: str, node: Node) -> Node | None:
         """Image of ``node`` under ``label``, or None if outside the domain."""
-        return self._target_of.get((label, node))
+        return self.label_map(label).get(node)
 
     def domain(self, label: str) -> tuple[Node, ...]:
         """Nodes with an outgoing edge for ``label``, sorted."""
-        return tuple(sorted(s for (name, s) in self._target_of if name == label))
+        edges = self.label_map(label)
+        cached = self._domains.get(label, ())
+        if len(cached) != len(edges):  # the map grew since it was sorted
+            cached = self._domains[label] = tuple(sorted(edges, key=node_order))
+        return cached
 
     def image(self, label: str) -> tuple[Node, ...]:
         """Distinct targets of ``label``, sorted."""
-        return tuple(sorted({t for (name, _), t in self._target_of.items()
-                             if name == label}))
+        return tuple(sorted(set(self.label_map(label).values()),
+                            key=node_order))
 
     def sources(self, label: str, target: Node) -> tuple[Node, ...]:
         """Preimage of ``target`` under ``label``, sorted."""
-        return tuple(sorted(s for (name, s), t in self._target_of.items()
-                            if name == label and t == target))
+        edges = self.label_map(label)
+        return tuple(s for s in self.domain(label) if edges[s] == target)
 
     def out_edges(self, node: Node) -> tuple[MapEdge, ...]:
-        return tuple(sorted(MapEdge(name, s, t)
-                            for (name, s), t in self._target_of.items()
-                            if s == node))
+        out = []
+        for label in sorted(self._maps):
+            target = self._maps[label].get(node)
+            if target is not None:
+                out.append(MapEdge(label, node, target))
+        return tuple(out)
 
     def in_edges(self, node: Node) -> tuple[MapEdge, ...]:
-        return tuple(sorted(MapEdge(name, s, t)
-                            for (name, s), t in self._target_of.items()
-                            if t == node))
+        return tuple(sorted(MapEdge(label, s, t)
+                            for label, edges in self._maps.items()
+                            for s, t in edges.items() if t == node))
 
     def sorted_nodes(self) -> Iterator[Node]:
-        return iter(sorted(self.nodes))
+        return iter(sorted(self.nodes, key=node_order))
 
     def sorted_edges(self) -> Iterator[MapEdge]:
-        return iter(sorted(self._edges()))
+        return (MapEdge(label, source, self._maps[label][source])
+                for label in sorted(self._maps)
+                for source in self.domain(label))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return (self._labels == other._labels
-                and self._target_of == other._target_of)
+        return self._labels == other._labels and self._maps == other._maps
 
     def __repr__(self) -> str:
         return (f"LabeledGraph(labels={len(self._labels)}, "
-                f"nodes={len(self.nodes)}, edges={len(self._target_of)})")
+                f"nodes={len(self.nodes)}, "
+                f"edges={sum(map(len, self._maps.values()))})")

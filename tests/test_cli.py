@@ -346,3 +346,63 @@ class TestLoneSurrogates:
         assert code == 1
         assert [f["kind"] for f in json.loads(out)] == ["malformed-input"]
         assert "Traceback" not in err and "internal error" not in err
+
+
+class TestParserLimits:
+    """Input past the JSON parser's or the integer converter's limits is
+    a validation or usage error, never an internal error."""
+
+    HUGE = "9" * 5000
+
+    @staticmethod
+    def assert_clean(code, out, err, expected):
+        assert code == expected
+        assert out == "" or json.loads(out) is not None
+        assert "Traceback" not in err and "internal error" not in err
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a": [0, %s]}' % HUGE],
+                             ids=["deep", "huge-int"])
+    def test_dataset_beyond_limits_is_malformed(self, run, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        for command in ("validate", "graph"):
+            code, out, err = run(command, str(path))
+            self.assert_clean(code, out, err, 1)
+            assert [f["kind"] for f in json.loads(out)] == ["malformed-input"]
+
+    def test_huge_span_offset_is_malformed(self, run, tmp_path):
+        obj = eq12_dataset()
+        text = json.dumps(obj).replace(
+            json.dumps(obj["annotations"][0]["mention"]), f"[0, {self.HUGE}]")
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run("validate", str(path))
+        self.assert_clean(code, out, err, 1)
+        assert [f["kind"] for f in json.loads(out)] == ["malformed-input"]
+
+    @pytest.mark.parametrize("depth", [100_000, 480],
+                             ids=["deep-json", "deep-condition"])
+    def test_deep_rule_spec_is_invalid(self, run, tmp_path, depth):
+        if depth == 100_000:
+            text = "[" * depth
+        else:  # parses as JSON, but its condition nests past the limit
+            cond = ('{"all": [' * depth + '{"is": ["size", "small"]}'
+                    + "]}" * depth)
+            text = ('{"free": [{"name": "size", "values": ["small", "large"]}],'
+                    ' "derived": [{"name": "price", "rules": ['
+                    '{"when": %s, "then": "low"},'
+                    ' {"when": {"is": ["size", "large"]}, "then": "high"}]}]}'
+                    % cond)
+        path = tmp_path / "deep-rules.json"
+        path.write_text(text)
+        code, out, err = run("synth", str(path), "--out",
+                             str(tmp_path / "x.json"))
+        self.assert_clean(code, out, err, 1)
+        assert json.loads(out)["error"] == "invalid-rule-spec"
+
+    def test_huge_node_key_is_usage_error(self, run, fig2_path):
+        code, out, err = run("distance", fig2_path, "--from",
+                             f"d:{self.HUGE}-1", "--to", "d:0-5")
+        self.assert_clean(code, out, err, 2)
+        assert out == ""
+        assert "bad node key" in err

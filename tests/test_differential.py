@@ -1,0 +1,195 @@
+"""Differential tests of the graph index and the class-id partitions.
+
+Random small graphs are built through ``LabeledGraph.add``; alongside,
+the test keeps its own plain ``label -> {source: target}`` dicts with
+the same first-binding-wins rule. Every read of the graph and every
+partition function is compared against an answer computed from those
+dicts with sets, sorting by the nodes' own ordering and grouping by
+target, sharing no code with the library.
+"""
+
+from hypothesis import given, strategies as st
+
+from labelflow import (
+    Annotation,
+    Direction,
+    DomainGap,
+    LabelDecl,
+    LabeledGraph,
+    MapEdge,
+    MapNotWellDefined,
+    Node,
+    Partition,
+    Region,
+    common_domain,
+    composite_domain,
+    composite_partition,
+    directed_intersection_count,
+    fibers,
+    meet,
+)
+
+LABELS = ("f", "g", "h")
+EMPTY = "z"  # declared, never annotated
+SPANS = [(s, e) for s in range(5) for e in range(s + 1, 6)]
+# (inner, outer) span pairs with inner strictly inside outer
+NESTED = [(i, o) for i in SPANS for o in SPANS
+          if i != o and o[0] <= i[0] and i[1] <= o[1]]
+
+
+@st.composite
+def graphs(draw):
+    """(graph, reference maps) built from random annotations, labels
+    declared in a random order. Reads between the adds fill the graph's
+    caches early, so later adds must refresh them."""
+    order = draw(st.permutations(LABELS + (EMPTY,)))
+    directions = {n: draw(st.sampled_from(list(Direction))) for n in order}
+    graph = LabeledGraph(LabelDecl(n, directions[n]) for n in order)
+    ref = {n: {} for n in order}
+    raw = draw(st.lists(st.tuples(st.sampled_from(LABELS),
+                                  st.sampled_from(["u", "v"]),
+                                  st.sampled_from(NESTED)), max_size=40))
+    for label, doc, (inner, outer) in raw:
+        ann = Annotation(label, mention=Region(doc, *inner),
+                         entity=Region(doc, *outer))
+        mention, entity = Node(ann.mention), Node(ann.entity)
+        if directions[label] is Direction.FORWARD:
+            source, target = mention, entity
+        else:
+            source, target = entity, mention
+        try:
+            graph.add(ann)
+        except MapNotWellDefined:
+            assert ref[label][source] != target
+            continue
+        ref[label].setdefault(source, target)
+        if draw(st.booleans()):
+            assert graph.domain(label) == tuple(sorted(ref[label]))
+            assert graph.has_node(target)
+    return graph, ref
+
+
+def ref_classes(universe, key):
+    """Classes of universe grouped by key, in canonical order."""
+    groups = {}
+    for node in universe:
+        groups.setdefault(key(node), set()).add(node)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def ref_whole(fine, coarse):
+    return sum(1 for cls in fine if any(set(cls) <= set(c) for c in coarse))
+
+
+def assert_partition(p, universe, classes):
+    assert p.universe == tuple(sorted(set(universe)))
+    assert p.classes == classes
+    assert p.class_count == len(classes)
+
+
+@given(graphs())
+def test_graph_reads_match_reference(built):
+    graph, ref = built
+    nodes = {n for m in ref.values() for pair in m.items() for n in pair}
+    assert graph.nodes == nodes
+    assert list(graph.sorted_nodes()) == sorted(nodes)
+    edges = sorted(MapEdge(l, s, t) for l, m in ref.items()
+                   for s, t in m.items())
+    assert list(graph.sorted_edges()) == edges
+    assert graph.edges == set(edges)
+    for label, m in ref.items():
+        assert graph.domain(label) == tuple(sorted(m))
+        assert graph.image(label) == tuple(sorted(set(m.values())))
+        for t in nodes:
+            assert graph.sources(label, t) == tuple(
+                sorted(s for s, v in m.items() if v == t))
+    outside = Node(Region("u", 0, 99))
+    for node in nodes | {outside}:
+        assert graph.has_node(node) == (node in nodes)
+        assert graph.out_edges(node) == tuple(
+            e for e in edges if e.source == node)
+        assert graph.in_edges(node) == tuple(
+            e for e in edges if e.target == node)
+        for label, m in ref.items():
+            assert graph.target(label, node) == m.get(node)
+
+
+@given(graphs(), st.randoms(use_true_random=False))
+def test_fibers_match_reference(built, rng):
+    graph, ref = built
+    for label, m in ref.items():
+        p = fibers(graph, label)
+        assert_partition(p, m, ref_classes(m, m.get))
+        # the public constructor gives an equal partition, equal hash
+        q = Partition(list(reversed(p.universe)),
+                      [list(reversed(c)) for c in reversed(p.classes)])
+        assert q == p and hash(q) == hash(p)
+        if p.universe:
+            one = Partition(p.universe, [p.universe])
+            singles = Partition(p.universe, [[n] for n in p.universe])
+            for other in (one, singles):
+                for fine, coarse in ((p, other), (other, p)):
+                    assert directed_intersection_count(fine, coarse) == \
+                        ref_whole(fine.classes, coarse.classes)
+        # an explicit universe, unsorted and with repeats
+        subset = [n for n in m if rng.random() < 0.6]
+        given_universe = subset + rng.sample(subset, len(subset) // 2)
+        rng.shuffle(given_universe)
+        assert_partition(fibers(graph, label, given_universe), subset,
+                         ref_classes(subset, m.get))
+        stranger = Node(Region("v", 0, 99))
+        try:
+            fibers(graph, label, given_universe + [stranger, stranger])
+        except DomainGap as exc:
+            assert exc.nodes == (stranger, stranger)
+        else:
+            raise AssertionError("fibers accepted a node outside the domain")
+
+
+@given(graphs(), st.lists(st.sampled_from(LABELS + (EMPTY,)),
+                          min_size=1, max_size=3))
+def test_partition_functions_match_reference(built, names):
+    graph, ref = built
+    domains = [set(ref[n]) for n in names]
+    shared = set.intersection(*domains)
+    excluded = set.union(*domains) - shared
+    assert common_domain(graph, names) == (sorted(shared), sorted(excluded))
+
+    parts = [fibers(graph, n, sorted(shared)) for n in names]
+    key = lambda node: tuple(ref[n][node] for n in names)
+    met = meet(*parts)
+    assert_partition(met, shared, ref_classes(shared, key))
+    for fine in parts + [met]:
+        for coarse in parts + [met]:
+            whole = ref_whole(fine.classes, coarse.classes)
+            assert directed_intersection_count(fine, coarse) == whole
+            assert fine.refines(coarse) == (whole == fine.class_count)
+
+    def walk(node):
+        for n in names:
+            if node not in ref[n]:
+                return None
+            node = ref[n][node]
+        return node
+
+    first = sorted(ref[names[0]])
+    kept = [n for n in first if walk(n) is not None]
+    assert composite_domain(graph, names) == (
+        kept, [n for n in first if walk(n) is None])
+    shuffled = kept[::-1] + kept[:1]
+    assert_partition(composite_partition(graph, names, shuffled), kept,
+                     ref_classes(kept, walk))
+
+
+def test_domain_reflects_a_later_add():
+    graph = LabeledGraph([LabelDecl("f", Direction.FORWARD)])
+    assert graph.domain("f") == ()
+    graph.add(Annotation("f", mention=Region("d", 3, 4),
+                         entity=Region("d", 0, 9)))
+    assert graph.domain("f") == (Node(Region("d", 3, 4)),)
+    assert graph.has_node(Node(Region("d", 0, 9)))
+    graph.add(Annotation("f", mention=Region("d", 1, 2),
+                         entity=Region("d", 0, 9)))
+    assert graph.domain("f") == (Node(Region("d", 1, 2)),
+                                 Node(Region("d", 3, 4)))
+    assert fibers(graph, "f").classes == (graph.domain("f"),)

@@ -13,6 +13,14 @@ the code under test.
 The digests were recorded from the three-scan ingest (validate, then
 build_graph, then LabeledGraph.add) that the single ingest pass
 replaced; any change to them is a change to the CLI contract.
+
+``golden_ladder.json`` pins the same digest for ``entropy --label`` of
+every attribute and ``depend`` from every one and every two attributes
+to each other attribute, on the size-ladder universe at k=4 (free
+attributes a, b, c with four values each, p given by a mod 2), generated
+here with ``labelflow.synth``. Those digests were recorded from the
+edge-scanning graph and the sorted-class partitions that the per-label
+index and the class-id partitions replaced.
 """
 
 import contextlib
@@ -22,10 +30,16 @@ import itertools
 import json
 from pathlib import Path
 
+from labelflow import generate_universe, rulespec_from_json, \
+    serialize_dataset
 from labelflow.cli import main
 
 HERE = Path(__file__).parent
 GOLDEN = json.loads((HERE / "golden_cli.json").read_text(encoding="utf-8"))
+GOLDEN_LADDER = json.loads(
+    (HERE / "golden_ladder.json").read_text(encoding="utf-8"))
+LADDER_K = 4
+LADDER_ATTRS = ("a", "b", "c", "p")
 
 
 def dirty_example1() -> dict:
@@ -87,6 +101,28 @@ def cases(tmp_dir: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
+def ladder_cases(tmp_dir: Path) -> list[tuple[str, list[str]]]:
+    """(golden key, argv) for every pinned ladder query; writes the
+    universe into tmp_dir."""
+    k = LADDER_K
+    spec = rulespec_from_json({
+        "free": [{"name": n, "values": [f"{n}{i}" for i in range(k)]}
+                 for n in "abc"],
+        "derived": [{"name": "p", "rules": [
+            {"when": {"is": ["a", f"a{i}"]}, "then": f"p{i % 2}"}
+            for i in range(k)]}],
+    })
+    path = tmp_dir / f"ladder-k{k}.json"
+    path.write_bytes(serialize_dataset(generate_universe(spec)))
+    runs = [["entropy", "--label", x] for x in LADDER_ATTRS]
+    for size in (1, 2):
+        for sources in itertools.combinations(LADDER_ATTRS, size):
+            runs += [["depend", "--from", ",".join(sources), "--to", to]
+                     for to in LADDER_ATTRS if to not in sources]
+    return [(" ".join(rest), [rest[0], str(path), *rest[1:]])
+            for rest in runs]
+
+
 def digest(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
@@ -102,4 +138,15 @@ def test_command_set_is_pinned(tmp_path):
 def test_output_matches_golden(tmp_path):
     mismatched = [key for key, argv in cases(tmp_path)
                   if digest(argv) != GOLDEN.get(key)]
+    assert mismatched == []
+
+
+def test_ladder_query_set_is_pinned(tmp_path):
+    assert sorted(key for key, _ in ladder_cases(tmp_path)) == \
+        sorted(GOLDEN_LADDER)
+
+
+def test_ladder_output_matches_golden(tmp_path):
+    mismatched = [key for key, argv in ladder_cases(tmp_path)
+                  if digest(argv) != GOLDEN_LADDER.get(key)]
     assert mismatched == []
