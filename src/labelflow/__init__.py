@@ -1,136 +1,65 @@
 """Labels as directed maps between nested text regions, and the
-information flow they carry."""
+information flow they carry.
 
-from .dataset import (
-    AnnotationSet,
-    Finding,
-    build_graph,
-    parse_dataset,
-    serialize_dataset,
-    validate,
-)
-from .errors import (
-    BadNesting,
-    ContradictoryRules,
-    DomainGap,
-    DuplicateDocId,
-    DuplicateLabelName,
-    EmptyUniverse,
-    IncompleteRules,
-    InvalidRuleSpec,
-    LabelFlowError,
-    MalformedInput,
-    MapNotWellDefined,
-    SpanOutOfBounds,
-    UniverseMismatch,
-    UnknownAttribute,
-    UnknownDocument,
-    UnknownLabel,
-    UnknownNode,
-)
-from .info import (
-    DependencyReport,
-    DistanceResult,
-    InfoReport,
-    composite_loss,
-    dependency,
-    dependency_loss,
-    entropy,
-    entropy_loss,
-    label_report,
-    path_distance,
-    path_report,
-    propagation_probability,
-    relevancy_score,
-)
-from .model import (
-    Annotation,
-    Direction,
-    Document,
-    LabelDecl,
-    LabeledGraph,
-    MapEdge,
-    Node,
-    Region,
-    map_endpoints,
-    region_contains,
-)
-from .partition import (
-    Partition,
-    common_domain,
-    composite_domain,
-    composite_partition,
-    directed_intersection_count,
-    fibers,
-    meet,
-)
-from .synth import (
-    RuleSpec,
-    generate_universe,
-    oracle_counts,
-    rulespec_from_json,
-    universe_layout,
-)
+The rule for imports: a process loads only the modules it runs.
+Importing the package loads none of its submodules; an exported name
+imports its home module, listed in ``_EXPORTS``, the first time it is
+read. Likewise each ``labelflow`` command imports only what it runs
+(see ``labelflow.cli``).
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Annotation",
-    "AnnotationSet",
-    "BadNesting",
-    "ContradictoryRules",
-    "DependencyReport",
-    "Direction",
-    "DistanceResult",
-    "Document",
-    "DomainGap",
-    "DuplicateDocId",
-    "DuplicateLabelName",
-    "EmptyUniverse",
-    "Finding",
-    "IncompleteRules",
-    "InfoReport",
-    "InvalidRuleSpec",
-    "LabelDecl",
-    "LabelFlowError",
-    "LabeledGraph",
-    "MalformedInput",
-    "MapEdge",
-    "MapNotWellDefined",
-    "Node",
-    "Partition",
-    "Region",
-    "RuleSpec",
-    "SpanOutOfBounds",
-    "UniverseMismatch",
-    "UnknownAttribute",
-    "UnknownDocument",
-    "UnknownLabel",
-    "UnknownNode",
-    "build_graph",
-    "common_domain",
-    "composite_domain",
-    "composite_loss",
-    "composite_partition",
-    "dependency",
-    "dependency_loss",
-    "directed_intersection_count",
-    "entropy",
-    "entropy_loss",
-    "fibers",
-    "generate_universe",
-    "label_report",
-    "map_endpoints",
-    "meet",
-    "oracle_counts",
-    "parse_dataset",
-    "path_distance",
-    "path_report",
-    "propagation_probability",
-    "region_contains",
-    "relevancy_score",
-    "rulespec_from_json",
-    "serialize_dataset",
-    "universe_layout",
-    "validate",
-]
+_EXPORTS = {
+    **dict.fromkeys((
+        "AnnotationSet", "Finding", "build_graph", "parse_dataset",
+        "serialize_dataset", "validate",
+    ), "dataset"),
+    **dict.fromkeys((
+        "BadNesting", "ContradictoryRules", "DomainGap", "DuplicateDocId",
+        "DuplicateLabelName", "EmptyUniverse", "IncompleteRules",
+        "InvalidRuleSpec", "LabelFlowError", "MalformedInput",
+        "MapNotWellDefined", "SpanOutOfBounds", "UniverseMismatch",
+        "UnknownAttribute", "UnknownDocument", "UnknownLabel", "UnknownNode",
+    ), "errors"),
+    **dict.fromkeys((
+        "DependencyReport", "DistanceResult", "InfoReport", "composite_loss",
+        "dependency", "dependency_loss", "entropy", "entropy_loss",
+        "label_report", "path_distance", "path_report",
+        "propagation_probability", "relevancy_score",
+    ), "info"),
+    **dict.fromkeys((
+        "Annotation", "Direction", "Document", "LabelDecl", "LabeledGraph",
+        "MapEdge", "Node", "Region", "map_endpoints", "region_contains",
+    ), "model"),
+    **dict.fromkeys((
+        "Partition", "common_domain", "composite_domain",
+        "composite_partition", "directed_intersection_count", "fibers",
+        "meet",
+    ), "partition"),
+    **dict.fromkeys((
+        "RuleSpec", "generate_universe", "oracle_counts",
+        "rulespec_from_json", "universe_layout",
+    ), "synth"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        home = _EXPORTS[name]
+    except KeyError:
+        # also how ``from labelflow import cli`` finds a submodule not
+        # yet imported: the import system falls back to importing it
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))

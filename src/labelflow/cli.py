@@ -5,6 +5,10 @@ to stdout, and reports problems on stderr. Exit codes: 0 success, 1 the
 input failed validation (payload describes why), 2 usage error
 (unreadable file, unknown label or node, bad flags), 3 internal error.
 Identical inputs always produce byte-identical payloads.
+
+Only ``dataset``, ``errors`` and ``model`` are imported here; a command
+that needs ``info`` or ``synth`` imports it inside its function, so
+``validate`` and ``graph`` never load the query or generator modules.
 """
 
 from __future__ import annotations
@@ -26,9 +30,7 @@ from .errors import (
     UnknownLabel,
     UnknownNode,
 )
-from .info import dependency, label_report, path_distance, path_report
 from .model import Document, LabeledGraph, Node, Region
-from .synth import generate_universe, rulespec_from_json
 
 NODE_KEY = re.compile(r"^(.+):(\d+)-(\d+)$")
 
@@ -143,6 +145,8 @@ def cmd_graph(args):
 
 
 def cmd_entropy(args):
+    from .info import label_report, path_report
+
     _, graph = _load_dataset(args.dataset)
     try:
         if args.label is not None:
@@ -166,6 +170,8 @@ def cmd_entropy(args):
 
 
 def cmd_depend(args):
+    from .info import dependency
+
     _, graph = _load_dataset(args.dataset)
     from_labels = _checked_labels(graph, args.from_labels.split(","))
     (to_label,) = _checked_labels(graph, [args.to_label])
@@ -178,6 +184,8 @@ def cmd_depend(args):
 
 
 def cmd_distance(args):
+    from .info import path_distance
+
     _, graph = _load_dataset(args.dataset)
     source = Node(_parse_node_key(args.source))
     target = Node(_parse_node_key(args.target))
@@ -189,6 +197,8 @@ def cmd_distance(args):
 
 
 def cmd_synth(args):
+    from .synth import generate_universe, rulespec_from_json
+
     data = _read_bytes(args.rulespec)
     try:
         obj = json.loads(data)
