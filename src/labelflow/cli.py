@@ -4,7 +4,10 @@ Every command reads input from file paths, writes a single JSON payload
 to stdout, and reports problems on stderr. Exit codes: 0 success, 1 the
 input failed validation (payload describes why), 2 usage error
 (unreadable file, unknown label or node, bad flags), 3 internal error.
-Identical inputs always produce byte-identical payloads.
+Identical inputs always produce byte-identical payloads, and payloads
+are UTF-8 bytes whatever the locale: they are written to the byte
+buffer under ``sys.stdout`` (a stdout with none, such as an in-process
+``io.StringIO``, gets the text).
 
 Only ``dataset``, ``errors`` and ``model`` are imported here; a command
 that needs ``info`` or ``synth`` imports it inside its function, so
@@ -19,7 +22,7 @@ import re
 import sys
 
 from .dataset import AnnotationSet, _ingest, serialize_dataset, \
-    structural_parse
+    structural_parse, to_json_text
 from .errors import (
     ContradictoryRules,
     DomainGap,
@@ -43,8 +46,17 @@ class _Failure(Exception):
         self.message = message
 
 
+def _write(text: str) -> None:
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()  # keep the order of any text written before
+        buffer.write(text.encode("utf-8"))
+
+
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+    _write(to_json_text(payload) + "\n")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -114,6 +126,8 @@ def _dot_escape(text: str) -> str:
 def cmd_graph(args):
     annset, graph = _load_dataset(args.dataset)
     docs = {doc.id: doc for doc in annset.documents}
+    directions = {name: decl.direction.value
+                  for name, decl in graph.labels.items()}
     if args.format == "json":
         return {
             "nodes": [
@@ -123,7 +137,7 @@ def cmd_graph(args):
             "edges": [
                 {
                     "label": e.label,
-                    "direction": graph.label(e.label).direction.value,
+                    "direction": directions[e.label],
                     "source": e.source.key,
                     "target": e.target.key,
                 }
@@ -135,12 +149,12 @@ def cmd_graph(args):
         lines.append(f'  "{_dot_escape(node.key)}" '
                      f'[label="{_dot_escape(_surface_label(docs, node))}"];')
     for edge in graph.sorted_edges():
-        direction = graph.label(edge.label).direction.value
         lines.append(f'  "{_dot_escape(edge.source.key)}" -> '
                      f'"{_dot_escape(edge.target.key)}" '
-                     f'[label="{_dot_escape(edge.label)} ({direction})"];')
+                     f'[label="{_dot_escape(edge.label)} '
+                     f'({directions[edge.label]})"];')
     lines.append("}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n")
     return None
 
 

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -406,3 +410,45 @@ class TestParserLimits:
         self.assert_clean(code, out, err, 2)
         assert out == ""
         assert "bad node key" in err
+
+
+class TestStdoutEncoding:
+    """Payloads are the same UTF-8 bytes whatever encoding the locale
+    gives stdout, and an in-process stdout without a byte buffer still
+    receives the text."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    # "café über 日本." is 19 bytes; the document adds a newline
+    DATASET = {
+        "documents": [{"id": "dé", "text": "café über 日本.\n"}],
+        "labels": [{"name": "cölor", "direction": "backward"},
+                   {"name": "in", "direction": "forward"}],
+        "annotations": [
+            {"doc": "dé", "label": "cölor", "mention": [0, 5],
+             "entity": [0, 20]},
+            {"doc": "dé", "label": "in", "mention": [6, 11],
+             "entity": [0, 19]},
+        ],
+    }
+
+    def stdout_under(self, encoding: str, argv: list[str]) -> bytes:
+        env = dict(os.environ, PYTHONIOENCODING=encoding,
+                   PYTHONPATH=str(self.SRC))
+        proc = subprocess.run([sys.executable, "-m", "labelflow.cli", *argv],
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        assert b"internal error" not in proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_ascii_stdout_gets_utf8_bytes(self, run, tmp_path, fmt):
+        path = tmp_path / "non-ascii.json"
+        path.write_text(json.dumps(self.DATASET), encoding="utf-8")
+        argv = ["graph", str(path), "--format", fmt]
+        ascii_out = self.stdout_under("ascii", argv)
+        assert ascii_out == self.stdout_under("utf-8", argv)
+        assert "café über".encode("utf-8") in ascii_out
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert out.encode("utf-8") == ascii_out

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from labelflow import (
+    Annotation,
     BadNesting,
+    Direction,
+    Document,
     DuplicateDocId,
     DuplicateLabelName,
+    LabelDecl,
     MalformedInput,
     MapNotWellDefined,
+    Region,
     SpanOutOfBounds,
     UnknownDocument,
     UnknownLabel,
@@ -144,6 +149,94 @@ class TestParse:
     def test_exact_duplicates_dropped(self):
         doubled = variant(annotations=MINIMAL["annotations"] * 3)
         assert len(parse_dataset(as_json(doubled)).annotations) == 1
+
+
+class TestParseFastPath:
+    """A well-formed annotation skips the per-field checks; every record
+    that is not one gets them, with the messages they always gave.
+
+    The records here are the second annotation, so a message naming
+    ``annotations[1]`` also shows the first record took the fast path
+    without disturbing the index."""
+
+    NOT_AN_ANNOTATION = ("annotations[1] must be an object with keys doc, "
+                         "label, mention, entity")
+
+    @staticmethod
+    def parse_error(record) -> str:
+        obj = variant(annotations=MINIMAL["annotations"] + [record])
+        with pytest.raises(MalformedInput) as caught:
+            structural_parse(as_json(obj))
+        return str(caught.value)
+
+    @staticmethod
+    def record(**changes):
+        return dict(MINIMAL["annotations"][0], **changes)
+
+    @pytest.mark.parametrize("field, span", [
+        ("mention", [True, 3]), ("entity", [0, False]),
+        ("mention", [0.0, 3]), ("entity", [0, 9.5]),
+        ("mention", [0]), ("entity", [0, 3, 9]),
+        ("mention", []), ("entity", "0-9"), ("mention", None),
+    ])
+    def test_bad_span(self, field, span):
+        assert self.parse_error(self.record(**{field: span})) == \
+            f"annotations[1]: field {field!r} must be a two-integer array"
+
+    def test_missing_key(self):
+        record = self.record()
+        del record["entity"]
+        assert self.parse_error(record) == self.NOT_AN_ANNOTATION
+
+    def test_extra_key(self):
+        assert self.parse_error(self.record(note="x")) == \
+            self.NOT_AN_ANNOTATION
+
+    @pytest.mark.parametrize("record", [["d", "color", [0, 3], [0, 9]],
+                                        "d:0-3", None, 7])
+    def test_not_an_object(self, record):
+        assert self.parse_error(record) == self.NOT_AN_ANNOTATION
+
+    @pytest.mark.parametrize("field", ["doc", "label"])
+    def test_not_a_string(self, field):
+        assert self.parse_error(self.record(**{field: 1})) == \
+            f"annotations[1]: field {field!r} must be a string"
+
+    @pytest.mark.parametrize("field", ["doc", "label"])
+    def test_lone_surrogate(self, field):
+        record = self.record()
+        record[field] += "\ud800"
+        assert self.parse_error(record) == (
+            f"annotations[1]: field {field!r} is not encodable as UTF-8 "
+            f"(lone surrogate)")
+
+    def test_non_ascii_names_parse_as_before(self):
+        obj = {
+            "documents": [{"id": "dé", "text": "red bag.\n"},
+                          {"id": "d", "text": "red bag.\n"}],
+            "labels": [{"name": "cölor", "direction": "backward"},
+                       {"name": "color", "direction": "backward"}],
+            "annotations": [
+                {"doc": "d", "label": "color", "mention": [0, 3],
+                 "entity": [0, 9]},
+                {"doc": "dé", "label": "cölor", "mention": [0, 3],
+                 "entity": [0, 9]},
+                {"doc": "dé", "label": "color", "mention": [4, 7],
+                 "entity": [0, 9]},
+                {"doc": "d", "label": "cölor", "mention": [4, 7],
+                 "entity": [0, 9]},
+            ],
+        }
+        annset = structural_parse(as_json(obj))
+        assert annset.annotations == [
+            Annotation(a["label"], Region(a["doc"], *a["mention"]),
+                       Region(a["doc"], *a["entity"]))
+            for a in obj["annotations"]]
+        assert annset.documents == [Document(d["id"], d["text"])
+                                    for d in obj["documents"]]
+        assert annset.labels == [LabelDecl(l["name"], Direction.BACKWARD)
+                                 for l in obj["labels"]]
+        assert validate(annset) == []
 
 
 class TestValidate:

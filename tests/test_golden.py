@@ -20,7 +20,11 @@ to each other attribute, on the size-ladder universe at k=4 (free
 attributes a, b, c with four values each, p given by a mod 2), generated
 here with ``labelflow.synth``. Those digests were recorded from the
 edge-scanning graph and the sorted-class partitions that the per-label
-index and the class-id partitions replaced.
+index and the class-id partitions replaced. The ladder's ``validate``
+and ``graph`` (json and dot) digests, the largest payloads pinned here,
+were recorded from the ``json.dumps`` output and the per-annotation
+parse checks that ``to_json_text`` and the well-formed-record fast path
+replaced.
 """
 
 import contextlib
@@ -114,7 +118,8 @@ def ladder_cases(tmp_dir: Path) -> list[tuple[str, list[str]]]:
     })
     path = tmp_dir / f"ladder-k{k}.json"
     path.write_bytes(serialize_dataset(generate_universe(spec)))
-    runs = [["entropy", "--label", x] for x in LADDER_ATTRS]
+    runs = [["validate"], ["graph"], ["graph", "--format", "dot"]]
+    runs += [["entropy", "--label", x] for x in LADDER_ATTRS]
     for size in (1, 2):
         for sources in itertools.combinations(LADDER_ATTRS, size):
             runs += [["depend", "--from", ",".join(sources), "--to", to]
