@@ -35,7 +35,7 @@ from .errors import (
 )
 from .model import Document, LabeledGraph, Node, Region
 
-NODE_KEY = re.compile(r"^(.+):(\d+)-(\d+)$")
+NODE_KEY = re.compile(r"(.+):([0-9]+)-([0-9]+)")
 
 
 class _Failure(Exception):
@@ -93,7 +93,7 @@ def _checked_labels(graph: LabeledGraph, names: list[str]) -> list[str]:
 
 
 def _parse_node_key(key: str) -> Region:
-    match = NODE_KEY.match(key)
+    match = NODE_KEY.fullmatch(key)
     try:
         if match:
             return Region(match.group(1), int(match.group(2)),

@@ -308,32 +308,6 @@ def _chain_cost(graph: LabeledGraph, labels: Sequence[str]) -> float:
     return composite_loss(graph, labels, kept)
 
 
-def _junction_targets(graph: LabeledGraph, f: str, g: str,
-                      x: Node) -> list[Node]:
-    shared, _ = common_domain(graph, [f, g])
-    out = {graph.target(g, z) for z in shared if graph.target(f, z) == x}
-    return sorted(out)
-
-
-def _junction_cost(graph: LabeledGraph, f: str, g: str) -> float:
-    shared, _ = common_domain(graph, [f, g])
-    if not shared:
-        return INF
-    return dependency_loss(fibers(graph, f, shared),
-                           fibers(graph, g, shared))
-
-
-@dataclass
-class _Candidate:
-    cost: float
-    labels: tuple[str, ...]
-    node_keys: tuple[str, ...]
-    moves: tuple[Move, ...]
-
-    def key(self):
-        return (self.cost, self.labels, self.node_keys)
-
-
 def path_distance(graph: LabeledGraph, source: Node,
                   target: Node) -> DistanceResult:
     """Minimum accumulated information loss over simple paths from
@@ -352,6 +326,14 @@ def path_distance(graph: LabeledGraph, source: Node,
 
     Returns distance infinity with no moves when the nodes are not
     connected by any finite-cost path.
+
+    A junction's cost and targets belong to its label pair, not to the
+    node the walk stands on, so one table of the finite junctions is
+    built per query, in O(L^2 * |domain|) for L labels, and each
+    visited node only scans that table. The search itself is still
+    exhaustive over simple paths: a chain is re-costed from its start at
+    every hop, and the walker recurses once per hop, so a chain of about
+    a thousand nodes is out of reach.
     """
     for node in (source, target):
         if not graph.has_node(node):
@@ -359,13 +341,33 @@ def path_distance(graph: LabeledGraph, source: Node,
     if source == target:
         return DistanceResult(source, target, 0.0)
 
+    # (f, g, cost, {f(z): sorted g(z)}) for every finite junction
+    junctions = []
     labels = sorted(graph.labels)
-    best: list[_Candidate | None] = [None]
+    for f in labels:
+        for g in labels:
+            shared, _ = common_domain(graph, [f, g])
+            if not shared:
+                continue
+            cost = dependency_loss(fibers(graph, f, shared),
+                                   fibers(graph, g, shared))
+            if cost == INF:
+                continue
+            f_map, g_map = graph.label_map(f), graph.label_map(g)
+            targets: dict[Node, set[Node]] = {}
+            for z in shared:
+                targets.setdefault(f_map[z], set()).add(g_map[z])
+            junctions.append((f, g, cost, {x: sorted(ys)
+                                           for x, ys in targets.items()}))
 
-    def consider(cand: _Candidate) -> None:
-        if cand.cost == INF:
+    # the best (cost, label sequence, node-key sequence, moves) so far,
+    # compared on its first three fields
+    best: list[tuple | None] = [None]
+
+    def consider(cand: tuple) -> None:
+        if cand[0] == INF:
             return
-        if best[0] is None or cand.key() < best[0].key():
+        if best[0] is None or cand[:3] < best[0][:3]:
             best[0] = cand
 
     def walk(at: Node, visited: frozenset[Node], done_cost: float,
@@ -381,8 +383,7 @@ def path_distance(graph: LabeledGraph, source: Node,
             closed_moves = done_moves
             closed_cost = done_cost
         if at == target:
-            consider(_Candidate(closed_cost, label_seq, key_seq,
-                                closed_moves))
+            consider((closed_cost, label_seq, key_seq, closed_moves))
             return
 
         # extend the open chain by one edge
@@ -396,23 +397,19 @@ def path_distance(graph: LabeledGraph, source: Node,
                  label_seq + (edge.label,), key_seq + (nxt.key,))
 
         # or close it and jump across a junction
-        for f in labels:
-            for g in labels:
-                cost = _junction_cost(graph, f, g)
-                if cost == INF:
+        for f, g, cost, targets in junctions:
+            for nxt in targets.get(at, ()):
+                if nxt in visited:
                     continue
-                for nxt in _junction_targets(graph, f, g, at):
-                    if nxt in visited:
-                        continue
-                    move = JunctionMove(f, g, at, nxt, cost)
-                    walk(nxt, visited | {nxt}, closed_cost + cost,
-                         closed_moves + (move,), (), (),
-                         label_seq + (f, g), key_seq + (nxt.key,))
+                move = JunctionMove(f, g, at, nxt, cost)
+                walk(nxt, visited | {nxt}, closed_cost + cost,
+                     closed_moves + (move,), (), (),
+                     label_seq + (f, g), key_seq + (nxt.key,))
 
     walk(source, frozenset([source]), 0.0, (), (), (),
          (), (source.key,))
 
     if best[0] is None:
         return DistanceResult(source, target, INF)
-    found = best[0]
-    return DistanceResult(source, target, found.cost, found.moves)
+    cost, _, _, moves = best[0]
+    return DistanceResult(source, target, cost, moves)

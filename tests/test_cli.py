@@ -251,6 +251,33 @@ class TestDistance:
                              "--to", "d:0-5")
         assert code == 2
 
+    # a trailing newline and non-ASCII digits used to parse as d:0-5
+    @pytest.mark.parametrize("key", ["d:0-5\n", "d:\u0660-\u0665"])
+    def test_key_is_ascii_digits_to_its_end(self, run, fig2_path, key):
+        code, out, err = run("distance", fig2_path, "--from", key,
+                             "--to", "d:0-5")
+        assert code == 2
+        assert out == ""
+        assert "bad node key" in err
+
+    def test_doc_id_with_colons(self, run, tmp_path):
+        data = fig2_dataset()
+        data["documents"][0]["id"] = "a:b"
+        for ann in data["annotations"]:
+            ann["doc"] = "a:b"
+        path = tmp_path / "colons.json"
+        path.write_text(json.dumps(data))
+        spans = fig2_spans()
+        woman = "a:b:{}-{}".format(*spans["woman"])
+        black = "a:b:{}-{}".format(*spans["black"])
+        code, out, err = run("distance", str(path), "--from", woman,
+                             "--to", black)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["query"] == {"kind": "distance", "from": woman,
+                                    "to": black}
+        assert payload["path"][0]["nodes"][-1] == black
+
 
 class TestSynth:
     def test_writes_canonical_dataset(self, run, example1_paths):
@@ -260,7 +287,7 @@ class TestSynth:
         payload = json.loads(out)
         assert payload["labels"] == 3
         assert payload["annotations"] == 18
-        written = open(out_path, "rb").read()
+        written = Path(out_path).read_bytes()
         annset = parse_dataset(written)
         assert serialize_dataset(annset) == written
         code, out, err = run("validate", out_path)

@@ -6,10 +6,15 @@ the same first-binding-wins rule. Every read of the graph and every
 partition function is compared against an answer computed from those
 dicts with sets, sorting by the nodes' own ordering and grouping by
 target, sharing no code with the library.
+
+``path_distance`` is compared on the same graphs against
+``walker_reference``, the walker as it was before its junction table.
 """
 
 from hypothesis import given, strategies as st
 
+import labelflow.info
+import walker_reference
 from labelflow import (
     Annotation,
     Direction,
@@ -21,13 +26,18 @@ from labelflow import (
     Node,
     Partition,
     Region,
+    UnknownNode,
+    build_graph,
     common_domain,
     composite_domain,
     composite_partition,
     directed_intersection_count,
     fibers,
     meet,
+    parse_dataset,
+    path_distance,
 )
+from conftest import DATA
 
 LABELS = ("f", "g", "h")
 EMPTY = "z"  # declared, never annotated
@@ -35,10 +45,13 @@ SPANS = [(s, e) for s in range(5) for e in range(s + 1, 6)]
 # (inner, outer) span pairs with inner strictly inside outer
 NESTED = [(i, o) for i in SPANS for o in SPANS
           if i != o and o[0] <= i[0] and i[1] <= o[1]]
+# fewer spans in one document, so that labels share sources and
+# junctions are finite often enough for the walker to take them
+FEW_NESTED = [(i, o) for i, o in NESTED if o[1] <= 3]
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, max_annotations=40, docs=("u", "v"), nested=NESTED):
     """(graph, reference maps) built from random annotations, labels
     declared in a random order. Reads between the adds fill the graph's
     caches early, so later adds must refresh them."""
@@ -47,8 +60,9 @@ def graphs(draw):
     graph = LabeledGraph(LabelDecl(n, directions[n]) for n in order)
     ref = {n: {} for n in order}
     raw = draw(st.lists(st.tuples(st.sampled_from(LABELS),
-                                  st.sampled_from(["u", "v"]),
-                                  st.sampled_from(NESTED)), max_size=40))
+                                  st.sampled_from(docs),
+                                  st.sampled_from(nested)),
+                        max_size=max_annotations))
     for label, doc, (inner, outer) in raw:
         ann = Annotation(label, mention=Region(doc, *inner),
                          entity=Region(doc, *outer))
@@ -193,3 +207,52 @@ def test_domain_reflects_a_later_add():
     assert graph.domain("f") == (Node(Region("d", 1, 2)),
                                  Node(Region("d", 3, 4)))
     assert fibers(graph, "f").classes == (graph.domain("f"),)
+
+
+# -- path distance -----------------------------------------------------
+
+
+def distance_or_error(walker, graph, source, target):
+    try:
+        return walker(graph, source, target).to_json_dict()
+    except UnknownNode as exc:
+        return ("unknown-node", str(exc))
+
+
+@given(graphs(max_annotations=12, docs=("u",), nested=FEW_NESTED),
+       st.data())
+def test_path_distance_matches_reference(built, data):
+    graph, _ = built
+    # every node, plus one outside the graph
+    candidates = sorted(graph.nodes) + [Node(Region("v", 0, 99))]
+    for _ in range(3):
+        source = data.draw(st.sampled_from(candidates))
+        target = data.draw(st.sampled_from(candidates))
+        assert distance_or_error(path_distance, graph, source, target) == \
+            distance_or_error(walker_reference.path_distance, graph,
+                              source, target)
+
+
+def test_path_distance_calls_common_domain_once_per_label_pair(monkeypatch):
+    """One query costs each (f, g) junction once, however many nodes the
+    walk visits; the reference walker recosts them at every node."""
+    graph = build_graph(parse_dataset((DATA / "example1.json").read_bytes()))
+    pairs = len(graph.labels) ** 2
+    source = Node(Region("synthetic", 0, 155))
+    target = Node(Region("synthetic", 104, 109))
+    calls = {"info": 0, "reference": 0}
+
+    def counted(module, name):
+        real = module.common_domain
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, "common_domain", wrapper)
+
+    counted(labelflow.info, "info")
+    counted(walker_reference, "reference")
+    result = path_distance(graph, source, target)
+    assert result.moves and calls["info"] <= pairs
+    assert walker_reference.path_distance(graph, source, target) == result
+    assert calls["reference"] > pairs
