@@ -16,6 +16,9 @@ serialization sorts documents by id, labels by name, and annotations by
 (doc, mention.start, mention.end, label), with the entity span as a final
 tiebreak, and drops exact duplicate annotations.
 
+Parsing is one pass driven by one table, ``_SECTIONS``: the sections,
+the keys of their records, and the order of every check.
+
 Ingest is one pass, ``_ingest``: it records every violation as a Finding
 and fills the graph's map as it goes. ``validate`` returns all findings,
 ``build_graph`` the graph or the first finding as a typed error.
@@ -128,41 +131,67 @@ class AnnotationSet:
 # -- parsing -----------------------------------------------------------
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise MalformedInput(message)
-
-
-def _as_str(obj: dict, key: str, where: str) -> str:
-    value = obj.get(key)
-    _require(isinstance(value, str), f"{where}: field {key!r} must be a string")
+def _string(raw: dict, key: str, section: str, i: int) -> str:
+    value = raw[key]
+    if type(value) is not str:
+        raise MalformedInput(f"{section}[{i}]: field {key!r} must be a string")
     if not value.isascii():
         # JSON admits lone surrogate escapes, which have no UTF-8 form
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise MalformedInput(f"{where}: field {key!r} is not encodable "
-                                 f"as UTF-8 (lone surrogate)") from None
+            raise MalformedInput(
+                f"{section}[{i}]: field {key!r} is not encodable as UTF-8 "
+                f"(lone surrogate)") from None
     return value
 
 
-def _as_span(obj: dict, key: str, where: str) -> tuple[int, int]:
-    value = obj.get(key)
-    _require(
-        isinstance(value, list) and len(value) == 2
-        and all(type(v) is int for v in value),
-        f"{where}: field {key!r} must be a two-integer array",
-    )
-    return value[0], value[1]
+def _span(raw: dict, key: str, section: str, i: int) -> list[int]:
+    value = raw[key]
+    if (type(value) is not list or len(value) != 2
+            or type(value[0]) is not int or type(value[1]) is not int):
+        raise MalformedInput(f"{section}[{i}]: field {key!r} must be a "
+                             f"two-integer array")
+    return value
 
 
-_ANNOTATION_KEYS = frozenset(("doc", "label", "mention", "entity"))
+def _document(raw: dict, i: int) -> Document:
+    return Document(_string(raw, "id", "documents", i),
+                    _string(raw, "text", "documents", i))
+
+
+def _label(raw: dict, i: int) -> LabelDecl:
+    name = _string(raw, "name", "labels", i)
+    direction = _string(raw, "direction", "labels", i)
+    if direction not in ("forward", "backward"):
+        raise MalformedInput(f"labels[{i}]: direction must be "
+                             f"\"forward\" or \"backward\"")
+    return LabelDecl(name, Direction(direction))
+
+
+def _annotation(raw: dict, i: int) -> Annotation:
+    doc_id = _string(raw, "doc", "annotations", i)
+    label = _string(raw, "label", "annotations", i)
+    ms, me = _span(raw, "mention", "annotations", i)
+    es, ee = _span(raw, "entity", "annotations", i)
+    return Annotation(label, Region(doc_id, ms, me), Region(doc_id, es, ee))
+
+
+# Each section (and the AnnotationSet field it fills), the keys of its
+# records, and the function that checks a record's fields and builds
+# it; checks run in this order.
+_SECTIONS = {
+    "documents": (("id", "text"), _document),
+    "labels": (("name", "direction"), _label),
+    "annotations": (("doc", "label", "mention", "entity"), _annotation),
+}
 
 
 def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
     """Parse the JSON shape only; the result may violate semantic
-    invariants. Raises MalformedInput for anything not matching the
-    schema."""
+    invariants. Raises MalformedInput for the first part not matching
+    the schema: sections in ``_SECTIONS`` order, records in input order,
+    a record's key set before its fields."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -178,66 +207,26 @@ def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
         raise MalformedInput(f"input is beyond the JSON parser's limits: "
                              f"{exc}") from None
 
-    _require(isinstance(obj, dict), "top level must be a JSON object")
-    expected = {"documents", "labels", "annotations"}
-    _require(
-        set(obj) == expected,
-        "top level must have exactly the keys documents, labels, annotations",
-    )
-    for key in expected:
-        _require(isinstance(obj[key], list), f"field {key!r} must be an array")
+    if type(obj) is not dict:
+        raise MalformedInput("top level must be a JSON object")
+    if obj.keys() != _SECTIONS.keys():
+        raise MalformedInput(f"top level must have exactly the keys "
+                             f"{', '.join(_SECTIONS)}")
+    for section in _SECTIONS:
+        if type(obj[section]) is not list:
+            raise MalformedInput(f"field {section!r} must be an array")
 
-    documents = []
-    for i, raw in enumerate(obj["documents"]):
-        where = f"documents[{i}]"
-        _require(isinstance(raw, dict) and set(raw) == {"id", "text"},
-                 f"{where} must be an object with keys id, text")
-        documents.append(Document(_as_str(raw, "id", where),
-                                  _as_str(raw, "text", where)))
-
-    labels = []
-    for i, raw in enumerate(obj["labels"]):
-        where = f"labels[{i}]"
-        _require(isinstance(raw, dict) and set(raw) == {"name", "direction"},
-                 f"{where} must be an object with keys name, direction")
-        name = _as_str(raw, "name", where)
-        direction = _as_str(raw, "direction", where)
-        _require(direction in ("forward", "backward"),
-                 f"{where}: direction must be \"forward\" or \"backward\"")
-        labels.append(LabelDecl(name, Direction(direction)))
-
-    annotations = []
-    for i, raw in enumerate(obj["annotations"]):
-        # A well-formed record with ASCII names needs no per-field check;
-        # anything else takes the checks below and gets their message.
-        if type(raw) is dict and raw.keys() == _ANNOTATION_KEYS:
-            doc_id, label = raw["doc"], raw["label"]
-            mention, entity = raw["mention"], raw["entity"]
-            if (type(doc_id) is str and doc_id.isascii()
-                    and type(label) is str and label.isascii()
-                    and type(mention) is list and len(mention) == 2
-                    and type(entity) is list and len(entity) == 2):
-                (ms, me), (es, ee) = mention, entity
-                if type(ms) is type(me) is type(es) is type(ee) is int:
-                    annotations.append(Annotation(
-                        label, mention=Region(doc_id, ms, me),
-                        entity=Region(doc_id, es, ee)))
-                    continue
-        where = f"annotations[{i}]"
-        _require(
-            isinstance(raw, dict)
-            and set(raw) == {"doc", "label", "mention", "entity"},
-            f"{where} must be an object with keys doc, label, mention, entity",
-        )
-        doc_id = _as_str(raw, "doc", where)
-        label = _as_str(raw, "label", where)
-        ms, me = _as_span(raw, "mention", where)
-        es, ee = _as_span(raw, "entity", where)
-        annotations.append(Annotation(label,
-                                      mention=Region(doc_id, ms, me),
-                                      entity=Region(doc_id, es, ee)))
-
-    return AnnotationSet(documents, labels, annotations)
+    parsed = {}
+    for section, (keys, build) in _SECTIONS.items():
+        keyset = frozenset(keys)
+        records = parsed[section] = []
+        append = records.append
+        for i, raw in enumerate(obj[section]):
+            if type(raw) is not dict or raw.keys() != keyset:
+                raise MalformedInput(f"{section}[{i}] must be an object "
+                                     f"with keys {', '.join(keys)}")
+            append(build(raw, i))
+    return AnnotationSet(**parsed)
 
 
 # -- validation and graph construction -------------------------------

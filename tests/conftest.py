@@ -2,7 +2,7 @@ import json
 import random
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from labelflow import (
     AnnotationSet,
@@ -228,3 +228,99 @@ def random_rulespec(rng: random.Random) -> RuleSpec:
         rng.shuffle(rules)
         derived.append(DerivedAttribute(f"d{d}", tuple(rules)))
     return RuleSpec(free, tuple(derived))
+
+
+# -- mutated datasets --------------------------------------------------
+
+# valid: two documents (one with a non-ASCII text), two labels, four
+# annotations that build a graph
+BASE_DATASET = {
+    "documents": [{"id": "d", "text": "red bag, blue hat.\n"},
+                  {"id": "e", "text": "café noir.\n"}],
+    "labels": [{"name": "color", "direction": "backward"},
+               {"name": "in", "direction": "forward"}],
+    "annotations": [
+        {"doc": "d", "label": "color", "mention": [0, 3], "entity": [0, 8]},
+        {"doc": "d", "label": "color", "mention": [9, 13],
+         "entity": [9, 17]},
+        {"doc": "d", "label": "in", "mention": [4, 7], "entity": [0, 19]},
+        {"doc": "e", "label": "in", "mention": [0, 5], "entity": [0, 12]},
+    ],
+}
+STRING_FIELDS = {"documents": ("id", "text"), "labels": ("name", "direction"),
+                 "annotations": ("doc", "label")}
+SPAN_FIELDS = ("mention", "entity")
+ODD_STRINGS = ["d", "e", "color", "in", "forward", "backward", "Forward",
+               "sideways", "", "é", "日本", "x\ud800", "\udfff", "d\ud83d"]
+NOT_STRINGS = [1, -1.5, True, False, None, [], {}, ["d"]]
+ODD_SPANS = [[True, 3], [0, False], [0.0, 3], [0, 9.5], [0], [0, 3, 9], [],
+             "0-3", None, {}, 4, [0, 10 ** 30], [-10 ** 30, 3], [3, 0]]
+NOT_RECORDS = [["d", "color", [0, 3], [0, 8]], "d:0-3", None, 7, 1.5, True,
+               []]
+NOT_ARRAYS = [1, "x", {}, None, True, 2.5]
+NOT_OBJECTS = [[], 1, "x", None, ["documents", "labels", "annotations"]]
+
+
+def _record(draw, obj):
+    """(section, index, record) of a drawn record, or None."""
+    section = draw(st.sampled_from(sorted(STRING_FIELDS)))
+    records = obj.get(section)
+    if type(records) is not list or not records:
+        return None
+    i = draw(st.integers(0, len(records) - 1))
+    return section, i, records[i]
+
+
+@st.composite
+def mutated_datasets(draw, max_mutations=4):
+    """BASE_DATASET after up to ``max_mutations`` random edits: some
+    fields of a record given an odd string, a non-string or an odd span;
+    a record replaced by a non-object, or given a missing or an extra
+    key; a record repeated at the end of its section; one section made a
+    non-array; a top-level key dropped or added; the whole replaced by a
+    non-object. At most one section is ever a non-array."""
+    obj = json.loads(json.dumps(BASE_DATASET))
+    for _ in range(draw(st.integers(0, max_mutations))):
+        kind = draw(st.sampled_from(
+            ["field"] * 10 + ["record", "key", "repeat"] * 2
+            + ["section", "top-key", "whole"]))
+        if kind == "section":
+            if all(type(obj.get(s)) is list for s in STRING_FIELDS):
+                section = draw(st.sampled_from(sorted(STRING_FIELDS)))
+                obj[section] = draw(st.sampled_from(NOT_ARRAYS))
+            continue
+        if kind == "top-key":
+            if draw(st.booleans()):
+                obj.pop(draw(st.sampled_from(sorted(STRING_FIELDS))), None)
+            else:
+                obj["extra"] = []
+            continue
+        if kind == "whole":
+            return draw(st.sampled_from(NOT_OBJECTS))
+        picked = _record(draw, obj)
+        if picked is None:
+            continue
+        section, i, record = picked
+        if kind == "record":
+            obj[section][i] = draw(st.sampled_from(NOT_RECORDS))
+        elif kind == "repeat":
+            obj[section].append(json.loads(json.dumps(record)))
+        elif type(record) is not dict:
+            continue
+        elif kind == "key":
+            if draw(st.booleans()) and record:
+                del record[draw(st.sampled_from(sorted(record)))]
+            else:
+                record["note"] = "x"
+        else:  # one or more fields, so that check order shows
+            spans = SPAN_FIELDS if section == "annotations" else ()
+            for key in draw(st.lists(
+                    st.sampled_from(STRING_FIELDS[section] + spans),
+                    min_size=1, max_size=3, unique=True)):
+                record[key] = draw(
+                    st.one_of(st.sampled_from(ODD_SPANS),
+                              st.lists(st.integers(-2, 24), max_size=3))
+                    if key in spans else
+                    st.one_of(st.sampled_from(ODD_STRINGS + NOT_STRINGS),
+                              st.text(max_size=3)))
+    return obj

@@ -17,6 +17,8 @@ from conftest import (
     fig2_spans,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 @pytest.fixture
 def run(capsys):
@@ -352,6 +354,29 @@ class TestDeterminism:
             assert first == second
             assert first[0] == 0
 
+    def test_malformed_sections_same_under_every_hash_seed(self, tmp_path):
+        """With every section a non-array, the report names the first in
+        schema order, not the first in a hash-ordered set."""
+        path = tmp_path / "sections.json"
+        path.write_text('{"documents": 1, "labels": 2, "annotations": 3}')
+        procs = [subprocess.Popen(
+            [sys.executable, "-m", "labelflow.cli", "validate", str(path)],
+            env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                     PYTHONPATH=str(SRC)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            for seed in range(8)]
+        runs = set()
+        for proc in procs:
+            out, err = proc.communicate(timeout=60)
+            runs.add((proc.returncode, out, err))
+        assert len(runs) == 1
+        [(code, out, err)] = runs
+        assert code == 1 and err == b""
+        assert json.loads(out) == [{
+            "kind": "malformed-input",
+            "message": "field 'documents' must be an array",
+            "annotations": []}]
+
 
 class TestLoneSurrogates:
     """A JSON \\ud800 escape decodes to a string with no UTF-8 form; the
@@ -444,7 +469,6 @@ class TestStdoutEncoding:
     gives stdout, and an in-process stdout without a byte buffer still
     receives the text."""
 
-    SRC = Path(__file__).resolve().parent.parent / "src"
     # "café über 日本." is 19 bytes; the document adds a newline
     DATASET = {
         "documents": [{"id": "dé", "text": "café über 日本.\n"}],
@@ -460,7 +484,7 @@ class TestStdoutEncoding:
 
     def stdout_under(self, encoding: str, argv: list[str]) -> bytes:
         env = dict(os.environ, PYTHONIOENCODING=encoding,
-                   PYTHONPATH=str(self.SRC))
+                   PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-m", "labelflow.cli", *argv],
                               env=env, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr

@@ -152,12 +152,11 @@ class TestParse:
 
 
 class TestParseFastPath:
-    """A well-formed annotation skips the per-field checks; every record
-    that is not one gets them, with the messages they always gave.
+    """The exact message for each malformed annotation record.
 
     The records here are the second annotation, so a message naming
-    ``annotations[1]`` also shows the first record took the fast path
-    without disturbing the index."""
+    ``annotations[1]`` also shows that the well-formed first record
+    leaves the index undisturbed."""
 
     NOT_AN_ANNOTATION = ("annotations[1] must be an object with keys doc, "
                          "label, mention, entity")
@@ -237,6 +236,105 @@ class TestParseFastPath:
         assert annset.labels == [LabelDecl(l["name"], Direction.BACKWARD)
                                  for l in obj["labels"]]
         assert validate(annset) == []
+
+
+NOT_A_DOCUMENT = "documents[1] must be an object with keys id, text"
+NOT_A_LABEL = "labels[1] must be an object with keys name, direction"
+DOCUMENT = {"id": "e", "text": "x"}
+LABEL = {"name": "size", "direction": "forward"}
+SURROGATE = "is not encodable as UTF-8 (lone surrogate)"
+
+
+class TestRecordMessages:
+    """The exact message for each malformed document and label record,
+    and for a malformed top level, as the parser has always given it.
+    Each bad record is the second in its section."""
+
+    @pytest.mark.parametrize("section, record, message", [
+        ("documents", ["e", "x"], NOT_A_DOCUMENT),
+        ("documents", "e", NOT_A_DOCUMENT),
+        ("documents", None, NOT_A_DOCUMENT),
+        ("documents", {"text": "x"}, NOT_A_DOCUMENT),
+        ("documents", {"id": "e"}, NOT_A_DOCUMENT),
+        ("documents", dict(DOCUMENT, note="x"), NOT_A_DOCUMENT),
+        ("documents", dict(DOCUMENT, id=1),
+         "documents[1]: field 'id' must be a string"),
+        ("documents", dict(DOCUMENT, text=None),
+         "documents[1]: field 'text' must be a string"),
+        ("documents", dict(DOCUMENT, id="e\ud800"),
+         f"documents[1]: field 'id' {SURROGATE}"),
+        ("documents", dict(DOCUMENT, text="x\udfff"),
+         f"documents[1]: field 'text' {SURROGATE}"),
+        ("labels", ["size", "forward"], NOT_A_LABEL),
+        ("labels", 7, NOT_A_LABEL),
+        ("labels", {"direction": "forward"}, NOT_A_LABEL),
+        ("labels", {"name": "size"}, NOT_A_LABEL),
+        ("labels", dict(LABEL, note="x"), NOT_A_LABEL),
+        ("labels", dict(LABEL, name=1),
+         "labels[1]: field 'name' must be a string"),
+        ("labels", dict(LABEL, direction=True),
+         "labels[1]: field 'direction' must be a string"),
+        ("labels", dict(LABEL, name="size\ud800"),
+         f"labels[1]: field 'name' {SURROGATE}"),
+        ("labels", dict(LABEL, direction="forward\ud800"),
+         f"labels[1]: field 'direction' {SURROGATE}"),
+        ("labels", dict(LABEL, direction="sideways"),
+         'labels[1]: direction must be "forward" or "backward"'),
+        ("labels", dict(LABEL, direction="Forward"),
+         'labels[1]: direction must be "forward" or "backward"'),
+    ])
+    def test_record_message(self, section, record, message):
+        obj = variant(**{section: MINIMAL[section] + [record]})
+        with pytest.raises(MalformedInput) as caught:
+            structural_parse(as_json(obj))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("obj, message", [
+        ([MINIMAL], "top level must be a JSON object"),
+        ({"documents": [], "labels": []},
+         "top level must have exactly the keys documents, labels, "
+         "annotations"),
+        (dict(MINIMAL, extra=[]),
+         "top level must have exactly the keys documents, labels, "
+         "annotations"),
+        (variant(labels={}), "field 'labels' must be an array"),
+        (variant(annotations=None), "field 'annotations' must be an array"),
+    ])
+    def test_top_level_message(self, obj, message):
+        with pytest.raises(MalformedInput) as caught:
+            structural_parse(as_json(obj))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("section, changes, message", [
+        ("documents", {"id": 1, "text": None},
+         "documents[1]: field 'id' must be a string"),
+        ("labels", {"name": "s\ud800", "direction": 2},
+         f"labels[1]: field 'name' {SURROGATE}"),
+        ("labels", {"name": "size", "direction": "up\ud800"},
+         f"labels[1]: field 'direction' {SURROGATE}"),
+        ("annotations", {"label": 1, "mention": [0.0, 3]},
+         "annotations[1]: field 'label' must be a string"),
+        ("annotations", {"doc": "d\ud800", "label": 1, "entity": None},
+         f"annotations[1]: field 'doc' {SURROGATE}"),
+        ("annotations", {"mention": [0], "entity": [True, 9]},
+         "annotations[1]: field 'mention' must be a two-integer array"),
+    ])
+    def test_fields_checked_in_key_order(self, section, changes, message):
+        obj = variant(**{section: MINIMAL[section] + [
+            dict(MINIMAL[section][0], **changes)]})
+        with pytest.raises(MalformedInput) as caught:
+            structural_parse(as_json(obj))
+        assert str(caught.value) == message
+
+    def test_key_set_before_fields_and_records_in_order(self):
+        obj = variant(documents=[{"id": 1}, {"id": "e", "text": 2}],
+                      labels=[{"name": 1, "direction": "sideways"}])
+        with pytest.raises(MalformedInput, match=r"^documents\[0\] must"):
+            structural_parse(as_json(obj))
+        obj["documents"] = [DOCUMENT]
+        with pytest.raises(MalformedInput,
+                           match=r"^labels\[0\]: field 'name' must"):
+            structural_parse(as_json(obj))
 
 
 class TestValidate:

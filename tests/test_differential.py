@@ -9,11 +9,17 @@ target, sharing no code with the library.
 
 ``path_distance`` is compared on the same graphs against
 ``walker_reference``, the walker as it was before its junction table.
+
+``structural_parse`` is compared on mutated datasets against
+``parse_reference``, the parser as it was before its key table.
 """
 
-from hypothesis import given, strategies as st
+import json
+
+from hypothesis import given, settings, strategies as st
 
 import labelflow.info
+import parse_reference
 import walker_reference
 from labelflow import (
     Annotation,
@@ -21,6 +27,7 @@ from labelflow import (
     DomainGap,
     LabelDecl,
     LabeledGraph,
+    MalformedInput,
     MapEdge,
     MapNotWellDefined,
     Node,
@@ -37,7 +44,8 @@ from labelflow import (
     parse_dataset,
     path_distance,
 )
-from conftest import DATA
+from labelflow.dataset import structural_parse
+from conftest import DATA, mutated_datasets
 
 LABELS = ("f", "g", "h")
 EMPTY = "z"  # declared, never annotated
@@ -256,3 +264,29 @@ def test_path_distance_calls_common_domain_once_per_label_pair(monkeypatch):
     assert result.moves and calls["info"] <= pairs
     assert walker_reference.path_distance(graph, source, target) == result
     assert calls["reference"] > pairs
+
+
+# -- structural parse --------------------------------------------------
+
+
+def parse_or_error(parse, data):
+    """The parsed lists, each in input order, or the error's type and
+    message. ``AnnotationSet.__eq__`` is not used: it sorts and drops
+    exact duplicates."""
+    try:
+        annset = parse(data)
+    except MalformedInput as exc:
+        return type(exc), str(exc)
+    return annset.documents, annset.labels, annset.annotations
+
+
+@settings(max_examples=300)
+@given(mutated_datasets(), st.sampled_from(["str", "ascii", "utf-8"]))
+def test_structural_parse_matches_reference(obj, form):
+    if form == "str":
+        data = json.dumps(obj)
+    else:  # lone surrogates make the UTF-8 form invalid
+        data = json.dumps(obj, ensure_ascii=form == "ascii").encode(
+            "utf-8", "surrogatepass")
+    assert parse_or_error(structural_parse, data) == \
+        parse_or_error(parse_reference.structural_parse, data)
