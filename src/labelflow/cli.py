@@ -123,36 +123,37 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+def _edge_listing(graph: LabeledGraph):
+    """(label, direction, source key, target key) of every edge, in
+    ``sorted_edges`` order, read off each label's sorted domain and map:
+    no edge object per edge."""
+    for name, decl in sorted(graph.labels.items()):
+        direction, targets = decl.direction.value, graph.label_map(name)
+        for source in graph.domain(name):
+            yield name, direction, source.key, targets[source].key
+
+
 def cmd_graph(args):
     annset, graph = _load_dataset(args.dataset)
     docs = {doc.id: doc for doc in annset.documents}
-    directions = {name: decl.direction.value
-                  for name, decl in graph.labels.items()}
+    nodes = ((node.key, _surface_label(docs, node))
+             for node in graph.sorted_nodes())
+    edges = _edge_listing(graph)
     if args.format == "json":
         return {
-            "nodes": [
-                {"key": n.key, "surface": _surface_label(docs, n)}
-                for n in graph.sorted_nodes()
-            ],
-            "edges": [
-                {
-                    "label": e.label,
-                    "direction": directions[e.label],
-                    "source": e.source.key,
-                    "target": e.target.key,
-                }
-                for e in graph.sorted_edges()
-            ],
+            "nodes": [{"key": key, "surface": surface}
+                      for key, surface in nodes],
+            "edges": [{"label": label, "direction": direction,
+                       "source": source, "target": target}
+                      for label, direction, source, target in edges],
         }
     lines = ["digraph labelflow {"]
-    for node in graph.sorted_nodes():
-        lines.append(f'  "{_dot_escape(node.key)}" '
-                     f'[label="{_dot_escape(_surface_label(docs, node))}"];')
-    for edge in graph.sorted_edges():
-        lines.append(f'  "{_dot_escape(edge.source.key)}" -> '
-                     f'"{_dot_escape(edge.target.key)}" '
-                     f'[label="{_dot_escape(edge.label)} '
-                     f'({directions[edge.label]})"];')
+    for key, surface in nodes:
+        lines.append(f'  "{_dot_escape(key)}" '
+                     f'[label="{_dot_escape(surface)}"];')
+    for label, direction, source, target in edges:
+        lines.append(f'  "{_dot_escape(source)}" -> "{_dot_escape(target)}" '
+                     f'[label="{_dot_escape(label)} ({direction})"];')
     lines.append("}")
     _write("\n".join(lines) + "\n")
     return None

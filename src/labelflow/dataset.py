@@ -17,7 +17,12 @@ serialization sorts documents by id, labels by name, and annotations by
 tiebreak, and drops exact duplicate annotations.
 
 Parsing is one pass driven by one table, ``_SECTIONS``: the sections,
-the keys of their records, and the order of every check.
+the keys of their records, and the order of every check. A parse
+interns its spans: every annotation endpoint with the same
+``(doc, start, end)`` is one ``Region`` object, found through a
+per-parse dict keyed by the plain tuple, whose hash is computed in C.
+Regions compare by value, so this saves construction and lets a
+comparison of two endpoints stop at identity; no result depends on it.
 
 Ingest is one pass, ``_ingest``: it records every violation as a Finding
 and fills the graph's map as it goes. ``validate`` returns all findings,
@@ -28,8 +33,9 @@ and every CLI payload go through it. The stdlib's C encoder does not
 indent, so ``json.dumps(..., indent=2)`` falls back to a pure-Python
 encoder that yields every token through nested generators; this writer
 gives the same text with one join per container and the C string
-escaper, in about half the time: 9-10 ms against 17-20 ms for a
-``graph`` payload of 1,600 nodes and 2,000 edges (Python 3.11, 2-vCPU
+escaper, and writes a str value or item inline, with no call per leaf.
+For a ``graph`` payload of 1,615 nodes and 2,015 edges it takes 6.5 ms
+against 13.3 ms for ``json.dumps`` (best of 300, Python 3.11.7, 2-vCPU
 shared host).
 """
 
@@ -60,7 +66,6 @@ from .model import (
     Node,
     Region,
     map_endpoints,
-    region_contains,
 )
 
 
@@ -155,12 +160,12 @@ def _span(raw: dict, key: str, section: str, i: int) -> list[int]:
     return value
 
 
-def _document(raw: dict, i: int) -> Document:
+def _document(raw: dict, i: int, regions: dict) -> Document:
     return Document(_string(raw, "id", "documents", i),
                     _string(raw, "text", "documents", i))
 
 
-def _label(raw: dict, i: int) -> LabelDecl:
+def _label(raw: dict, i: int, regions: dict) -> LabelDecl:
     name = _string(raw, "name", "labels", i)
     direction = _string(raw, "direction", "labels", i)
     if direction not in ("forward", "backward"):
@@ -169,17 +174,24 @@ def _label(raw: dict, i: int) -> LabelDecl:
     return LabelDecl(name, Direction(direction))
 
 
-def _annotation(raw: dict, i: int) -> Annotation:
+def _annotation(raw: dict, i: int, regions: dict) -> Annotation:
     doc_id = _string(raw, "doc", "annotations", i)
     label = _string(raw, "label", "annotations", i)
     ms, me = _span(raw, "mention", "annotations", i)
     es, ee = _span(raw, "entity", "annotations", i)
-    return Annotation(label, Region(doc_id, ms, me), Region(doc_id, es, ee))
+    mention = regions.get((doc_id, ms, me))
+    if mention is None:
+        mention = regions[doc_id, ms, me] = Region(doc_id, ms, me)
+    entity = regions.get((doc_id, es, ee))
+    if entity is None:
+        entity = regions[doc_id, es, ee] = Region(doc_id, es, ee)
+    return Annotation(label, mention, entity)
 
 
 # Each section (and the AnnotationSet field it fills), the keys of its
 # records, and the function that checks a record's fields and builds
-# it; checks run in this order.
+# it from them and the parse's interned regions, (doc, start, end) ->
+# Region; checks run in this order.
 _SECTIONS = {
     "documents": (("id", "text"), _document),
     "labels": (("name", "direction"), _label),
@@ -216,7 +228,7 @@ def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
         if type(obj[section]) is not list:
             raise MalformedInput(f"field {section!r} must be an array")
 
-    parsed = {}
+    parsed, regions = {}, {}
     for section, (keys, build) in _SECTIONS.items():
         keyset = frozenset(keys)
         records = parsed[section] = []
@@ -225,7 +237,7 @@ def structural_parse(data: Union[bytes, str]) -> AnnotationSet:
             if type(raw) is not dict or raw.keys() != keyset:
                 raise MalformedInput(f"{section}[{i}] must be an object "
                                      f"with keys {', '.join(keys)}")
-            append(build(raw, i))
+            append(build(raw, i, regions))
     return AnnotationSet(**parsed)
 
 
@@ -297,20 +309,21 @@ def _ingest(annset: AnnotationSet) -> tuple[list[Finding], LabeledGraph]:
                                     f"{ann.mention.doc_id!r} is not declared",
                                     (i,)))
             continue
-        spans_ok = True
-        for region, role in ((ann.mention, "mention"), (ann.entity, "entity")):
-            bad = _span_finding(region, length, i, role)
-            if bad is not None:
-                findings.append(bad)
-                spans_ok = False
-        if not spans_ok:
-            continue
-        if not region_contains(ann.entity, ann.mention):
-            findings.append(Finding(
+        mention, entity = ann.mention, ann.entity
+        # both spans inside the document and the mention strictly
+        # inside the entity, in one test; the findings only if not
+        if not (0 <= entity.start <= mention.start < mention.end
+                <= entity.end <= length
+                and (entity.start < mention.start or mention.end < entity.end)
+                and entity.doc_id == mention.doc_id):
+            bad = [f for f in (_span_finding(mention, length, i, "mention"),
+                               _span_finding(entity, length, i, "entity"))
+                   if f is not None]
+            findings.extend(bad or [Finding(
                 "bad-nesting",
-                f"annotation {i}: mention [{ann.mention.start}, "
-                f"{ann.mention.end}) is not strictly inside entity "
-                f"[{ann.entity.start}, {ann.entity.end})", (i,)))
+                f"annotation {i}: mention [{mention.start}, {mention.end}) "
+                f"is not strictly inside entity "
+                f"[{entity.start}, {entity.end})", (i,))])
             continue
         if decl is None:
             continue
@@ -420,16 +433,21 @@ def _json_text(obj, newline: str) -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        # encode_basestring raises TypeError for a key that is not a str
+        # encode_basestring raises TypeError for a key that is not a str;
+        # a value of exact type str is written here, not by a call
         return ("{" + inner + ("," + inner).join([
-            f"{encode_basestring(key)}: {_json_text(value, inner)}"
+            f"{encode_basestring(key)}: {encode_basestring(value)}"
+            if type(value) is str
+            else f"{encode_basestring(key)}: {_json_text(value, inner)}"
             for key, value in obj.items()]) + newline + "}")
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
         return ("[" + inner + ("," + inner).join([
-            _json_text(value, inner) for value in obj]) + newline + "]")
+            encode_basestring(value) if type(value) is str
+            else _json_text(value, inner)
+            for value in obj]) + newline + "]")
     if obj is None:
         return "null"
     if obj is True:

@@ -9,7 +9,11 @@ that touch the same region share a node, which is what stitches separate
 labels into chains.
 
 Regions, nodes, labels, annotations and edges are frozen dataclasses
-with slots, as a dataset makes several of them per annotation.
+with slots, as a dataset makes several of them per annotation. They
+compare and hash by value. A parse shares one ``Region`` object per
+distinct span, so most comparisons of two endpoints stop at identity;
+identity is not part of any semantics, and a Region built anew equals
+and hashes as the shared one.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ class Node:
 
     @property
     def key(self) -> str:
-        return self.region.key
+        region = self.region
+        return f"{region.doc_id}:{region.start}-{region.end}"
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -209,7 +214,7 @@ class LabeledGraph:
         it is and return that other target, so every label stays a
         function."""
         current = self._maps[label].setdefault(source, target)
-        return None if current == target else current
+        return None if current is target or current == target else current
 
     # -- read side -----------------------------------------------------
 

@@ -324,3 +324,47 @@ def mutated_datasets(draw, max_mutations=4):
                     st.one_of(st.sampled_from(ODD_STRINGS + NOT_STRINGS),
                               st.text(max_size=3)))
     return obj
+
+
+# -- valid datasets ----------------------------------------------------
+
+# Six-byte texts, one with a two-byte character, so that a span may
+# split a code point; ids and names with the characters a node key or a
+# DOT listing has to carry: ':', '"' and '\'.
+VALID_DOCS = {"u": "abcdef", "v:w": "café!", 'q"\\': "x\ny\nz."}
+VALID_LABELS = ("f", "g", 'h"\\')
+VALID_SPANS = [(s, e) for s in range(6) for e in range(s + 1, 7)]
+# (inner, outer) span pairs with inner strictly inside outer
+VALID_NESTED = [(i, o) for i in VALID_SPANS for o in VALID_SPANS
+                if i != o and o[0] <= i[0] and i[1] <= o[1]]
+
+
+@st.composite
+def valid_datasets(draw, max_annotations=12):
+    """A dataset object that validates: some of VALID_DOCS, the labels
+    of VALID_LABELS with random directions (some may stay unannotated),
+    and annotations on nested spans in random order, exact repeats
+    included. An annotation that would give a source a second target
+    under its label is left out."""
+    doc_ids = draw(st.lists(st.sampled_from(sorted(VALID_DOCS)),
+                            min_size=1, max_size=3, unique=True))
+    directions = {name: draw(st.sampled_from(["forward", "backward"]))
+                  for name in VALID_LABELS}
+    annotations, bound = [], {}
+    for label, doc, (inner, outer) in draw(st.lists(
+            st.tuples(st.sampled_from(VALID_LABELS),
+                      st.sampled_from(doc_ids),
+                      st.sampled_from(VALID_NESTED)),
+            max_size=max_annotations)):
+        source, target = ((inner, outer) if directions[label] == "forward"
+                          else (outer, inner))
+        if bound.setdefault((label, doc, source), target) != target:
+            continue
+        annotations.append({"doc": doc, "label": label,
+                            "mention": list(inner), "entity": list(outer)})
+    return {
+        "documents": [{"id": d, "text": VALID_DOCS[d]} for d in doc_ids],
+        "labels": [{"name": n, "direction": directions[n]}
+                   for n in draw(st.permutations(VALID_LABELS))],
+        "annotations": annotations,
+    }

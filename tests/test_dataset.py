@@ -379,6 +379,20 @@ class TestValidate:
         assert findings[0].annotations == (0,)
         assert findings[1].annotations == (1,)
 
+    def test_entity_on_another_document_is_bad_nesting(self):
+        # a parse gives both spans the record's document; a set built in
+        # code can put them on two, each in bounds of the mention's
+        annset = structural_parse(as_json(variant(
+            documents=[{"id": "d", "text": "red bag.\n"},
+                       {"id": "e", "text": "red bag.\n"}])))
+        annset.annotations.append(Annotation(
+            "color", mention=Region("d", 0, 3), entity=Region("e", 0, 9)))
+        findings = validate(annset)
+        assert [(f.kind, f.annotations) for f in findings] == [
+            ("bad-nesting", (1,))]
+        with pytest.raises(BadNesting):
+            build_graph(annset)
+
 
 class TestRoundTrip:
     def test_minimal(self):

@@ -12,10 +12,19 @@ target, sharing no code with the library.
 
 ``structural_parse`` is compared on mutated datasets against
 ``parse_reference``, the parser as it was before its key table.
+
+A parse shares one ``Region`` per span; every result on it is compared
+with the result on a copy whose regions are all built anew, so no code
+depends on that identity. The ``graph`` command's listings, JSON and
+DOT, are compared with the graph's own sorted reads.
 """
 
+import contextlib
+import io
 import json
+import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelflow.info
@@ -23,6 +32,7 @@ import parse_reference
 import walker_reference
 from labelflow import (
     Annotation,
+    AnnotationSet,
     Direction,
     DomainGap,
     LabelDecl,
@@ -34,18 +44,22 @@ from labelflow import (
     Partition,
     Region,
     UnknownNode,
+    EmptyUniverse,
     build_graph,
     common_domain,
     composite_domain,
     composite_partition,
+    dependency,
     directed_intersection_count,
     fibers,
+    label_report,
     meet,
     parse_dataset,
     path_distance,
 )
-from labelflow.dataset import structural_parse
-from conftest import DATA, mutated_datasets
+from labelflow.cli import main
+from labelflow.dataset import structural_parse, validate
+from conftest import DATA, mutated_datasets, valid_datasets
 
 LABELS = ("f", "g", "h")
 EMPTY = "z"  # declared, never annotated
@@ -290,3 +304,136 @@ def test_structural_parse_matches_reference(obj, form):
             "utf-8", "surrogatepass")
     assert parse_or_error(structural_parse, data) == \
         parse_or_error(parse_reference.structural_parse, data)
+
+
+# -- one Region per span -----------------------------------------------
+
+
+def fresh(region):
+    """An equal region that is a new object."""
+    return Region(region.doc_id, region.start, region.end)
+
+
+def recreated(annset):
+    """A copy of ``annset`` whose every region is a new object."""
+    return AnnotationSet(
+        list(annset.documents), list(annset.labels),
+        [Annotation(a.label, fresh(a.mention), fresh(a.entity))
+         for a in annset.annotations])
+
+
+def outcome(fn, *args):
+    """The payload of a result, or the type and message of its error."""
+    try:
+        return fn(*args).to_json_dict()
+    except (EmptyUniverse, UnknownNode) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(valid_datasets(), mutated_datasets()))
+def test_parse_shares_one_region_per_span(obj):
+    try:
+        annset = structural_parse(json.dumps(obj))
+    except MalformedInput:
+        return
+    shared = {}
+    for ann in annset.annotations:
+        for region in (ann.mention, ann.entity):
+            key = (region.doc_id, region.start, region.end)
+            assert shared.setdefault(key, region) is region
+
+
+@given(mutated_datasets())
+def test_findings_do_not_depend_on_shared_regions(obj):
+    try:
+        annset = structural_parse(json.dumps(obj))
+    except MalformedInput:
+        return
+    assert validate(annset) == validate(recreated(annset))
+
+
+@given(valid_datasets(), st.data())
+def test_results_do_not_depend_on_shared_regions(obj, data):
+    annset = structural_parse(json.dumps(obj))
+    copy = recreated(annset)
+    graph, other = build_graph(annset), build_graph(copy)
+    assert validate(annset) == validate(copy) == []
+    assert graph == other
+    assert list(graph.sorted_nodes()) == list(other.sorted_nodes())
+    assert list(graph.sorted_edges()) == list(other.sorted_edges())
+    labels = sorted(graph.labels)
+    for label in labels:
+        assert outcome(label_report, graph, label) == \
+            outcome(label_report, other, label)
+    from_labels = data.draw(st.lists(st.sampled_from(labels),
+                                     min_size=1, max_size=2))
+    to_label = data.draw(st.sampled_from(labels))
+    assert outcome(dependency, graph, from_labels, to_label) == \
+        outcome(dependency, other, from_labels, to_label)
+    nodes = sorted(graph.nodes) + [Node(Region("u", 0, 99))]
+    for _ in range(2):
+        source = data.draw(st.sampled_from(nodes))
+        target = data.draw(st.sampled_from(nodes))
+        assert outcome(path_distance, graph, source, target) == outcome(
+            path_distance, other, Node(fresh(source.region)),
+            Node(fresh(target.region)))
+
+
+@given(st.text(max_size=4), st.integers(0, 10 ** 20),
+       st.integers(0, 10 ** 20))
+def test_node_key_is_region_key(doc_id, start, end):
+    region = Region(doc_id, start, end)
+    assert Node(region).key == region.key == f"{doc_id}:{start}-{end}"
+
+
+# -- the graph listing -------------------------------------------------
+
+DOT_TEXT = r'"((?:[^"\\]|\\.)*)"'
+DOT_NODE = re.compile(rf"  {DOT_TEXT} \[label={DOT_TEXT}\];")
+DOT_EDGE = re.compile(rf"  {DOT_TEXT} -> {DOT_TEXT} \[label={DOT_TEXT}\];")
+
+
+def dot_unescape(text):
+    return re.sub(r"\\(.)", r"\1", text)
+
+
+@pytest.fixture(scope="module")
+def listing_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("listing") / "dataset.json"
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@given(valid_datasets())
+def test_graph_listing_matches_sorted_reads(listing_path, obj):
+    listing_path.write_text(json.dumps(obj), encoding="utf-8")
+    graph = build_graph(structural_parse(listing_path.read_bytes()))
+    nodes = [n.key for n in graph.sorted_nodes()]
+    edges = [(e.label, e.source.key, e.target.key)
+             for e in graph.sorted_edges()]
+    directions = {name: decl.direction.value
+                  for name, decl in graph.labels.items()}
+
+    payload = json.loads(run_cli(["graph", str(listing_path)]))
+    assert [n["key"] for n in payload["nodes"]] == nodes
+    assert [(e["label"], e["source"], e["target"])
+            for e in payload["edges"]] == edges
+    assert [e["direction"] for e in payload["edges"]] == \
+        [directions[label] for label, _, _ in edges]
+
+    lines = run_cli(["graph", str(listing_path), "--format", "dot"]
+                    ).splitlines()
+    assert lines[0] == "digraph labelflow {" and lines[-1] == "}"
+    dot_nodes = [DOT_NODE.fullmatch(line) for line in lines[1:1 + len(nodes)]]
+    dot_edges = [DOT_EDGE.fullmatch(line) for line in lines[1 + len(nodes):-1]]
+    assert all(dot_nodes) and all(dot_edges)
+    assert [dot_unescape(m[1]) for m in dot_nodes] == nodes
+    assert [dot_unescape(m[3]) for m in dot_edges] == \
+        [f"{label} ({directions[label]})" for label, _, _ in edges]
+    assert [(dot_unescape(m[1]), dot_unescape(m[2])) for m in dot_edges] == \
+        [(source, target) for _, source, target in edges]

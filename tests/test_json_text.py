@@ -81,3 +81,39 @@ def test_subclasses_as_json_writes_them():
 def test_unsupported_type_raises_type_error(value):
     with pytest.raises(TypeError):
         to_json_text(value)
+
+
+class Tag(str):
+    """A str subclass: the writer takes its general path for it, not
+    the inline one for exact str values and items."""
+
+
+# str subclasses mixed with every other leaf, at every depth, as dict
+# values, list and tuple items and dict keys
+MIXED_TEXT = st.one_of(TEXT, TEXT.map(Tag), st.just(Colour.RED))
+MIXED = st.recursive(
+    st.one_of(SCALARS, MIXED_TEXT, st.just(Rank.FIRST),
+              st.just(Ratio(0.5))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(MIXED_TEXT, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(MIXED)
+def test_mixed_leaves_match_json_dumps(value):
+    assert to_json_text(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    {"a": Tag('"'), "b": "é", "c": Colour.RED},
+    [Tag("x"), "y", (Tag("\\"), "\n", [Colour.RED, {"k": Tag("")}])],
+    ({"a": [Tag("t"), 1, None]}, "s", Tag("😀")),
+    {Tag("key"): {"inner": (Tag("v"), "w", 2.5, True)}},
+    [{"a": "b"}, {"a": Tag("b")}, {"a": ["b", Tag("b")]}],
+])
+def test_str_subclasses_nested(value):
+    assert to_json_text(value) == reference(value)
