@@ -9,6 +9,13 @@ are UTF-8 bytes whatever the locale: they are written to the byte
 buffer under ``sys.stdout`` (a stdout with none, such as an in-process
 ``io.StringIO``, gets the text).
 
+``ERRORS`` is the one place where a typed library error meets its exit
+code and payload: a command lets such an error escape, and ``main``
+handles it once. Any other exception, a ``LabelFlowError`` type the
+table does not list included, is an internal error. ``_Failure``
+carries the CLI's own failures: an unreadable or unwritable file, a bad
+node key, and the findings of a dataset that fails validation.
+
 Only ``dataset``, ``errors`` and ``model`` are imported here; a command
 that needs ``info`` or ``synth`` imports it inside its function, so
 ``validate`` and ``graph`` never load the query or generator modules.
@@ -35,7 +42,32 @@ from .errors import (
 )
 from .model import Document, LabeledGraph, Node, Region
 
-NODE_KEY = re.compile(r"(.+):([0-9]+)-([0-9]+)")
+NODE_KEY = re.compile(r"(.*):([0-9]+)-([0-9]+)", re.DOTALL)
+
+
+def _error(kind: str, exc: Exception, **fields) -> dict:
+    return {"error": kind, "message": str(exc), **fields}
+
+
+# exact error type -> (exit code, payload builder); an exit-2 entry has
+# no builder and prints the message on stderr
+ERRORS = {
+    MalformedInput: (1, lambda exc: [{"kind": "malformed-input",
+                                      "message": str(exc),
+                                      "annotations": []}]),
+    DomainGap: (1, lambda exc: _error(
+        "domain-gap", exc, label=exc.label,
+        nodes=[n.key for n in exc.nodes], step=exc.step)),
+    EmptyUniverse: (1, lambda exc: _error("empty-universe", exc)),
+    InvalidRuleSpec: (1, lambda exc: _error("invalid-rule-spec", exc)),
+    IncompleteRules: (1, lambda exc: _error(
+        "incomplete-rules", exc, combination=list(exc.combination))),
+    ContradictoryRules: (1, lambda exc: _error(
+        "contradictory-rules", exc, combination=list(exc.combination),
+        values=list(exc.values))),
+    UnknownLabel: (2, None),
+    UnknownNode: (2, None),
+}
 
 
 class _Failure(Exception):
@@ -44,6 +76,18 @@ class _Failure(Exception):
         self.code = code
         self.payload = payload
         self.message = message
+
+
+def _as_failure(exc: Exception) -> _Failure:
+    """What ``main`` reports for an exception a command let escape."""
+    if isinstance(exc, _Failure):
+        return exc
+    if type(exc) not in ERRORS:
+        return _Failure(3, message=f"internal error: {exc}")
+    code, build = ERRORS[type(exc)]
+    if build is None:
+        return _Failure(code, message=str(exc))
+    return _Failure(code, payload=build(exc))
 
 
 def _write(text: str) -> None:
@@ -68,28 +112,11 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _load_dataset(path: str) -> tuple[AnnotationSet, LabeledGraph]:
-    data = _read_bytes(path)
-    try:
-        annset = structural_parse(data)
-    except MalformedInput as exc:
-        raise _Failure(1, payload=[{
-            "kind": "malformed-input",
-            "message": str(exc),
-            "annotations": [],
-        }]) from None
+    annset = structural_parse(_read_bytes(path))
     findings, graph = _ingest(annset)
     if findings:
         raise _Failure(1, payload=[f.to_json_dict() for f in findings])
     return annset, graph
-
-
-def _checked_labels(graph: LabeledGraph, names: list[str]) -> list[str]:
-    for name in names:
-        try:
-            graph.label(name)
-        except UnknownLabel as exc:
-            raise _Failure(2, message=str(exc)) from None
-    return names
 
 
 def _parse_node_key(key: str) -> Region:
@@ -163,39 +190,17 @@ def cmd_entropy(args):
     from .info import label_report, path_report
 
     _, graph = _load_dataset(args.dataset)
-    try:
-        if args.label is not None:
-            _checked_labels(graph, [args.label])
-            report = label_report(graph, args.label)
-        else:
-            labels = _checked_labels(graph, args.path.split(","))
-            report = path_report(graph, labels)
-    except DomainGap as exc:
-        raise _Failure(1, payload={
-            "error": "domain-gap",
-            "message": str(exc),
-            "label": exc.label,
-            "nodes": [n.key for n in exc.nodes],
-            "step": exc.step,
-        }) from None
-    except EmptyUniverse as exc:
-        raise _Failure(1, payload={"error": "empty-universe",
-                                   "message": str(exc)}) from None
-    return report.to_json_dict()
+    if args.label is not None:
+        return label_report(graph, args.label).to_json_dict()
+    return path_report(graph, args.path.split(",")).to_json_dict()
 
 
 def cmd_depend(args):
     from .info import dependency
 
     _, graph = _load_dataset(args.dataset)
-    from_labels = _checked_labels(graph, args.from_labels.split(","))
-    (to_label,) = _checked_labels(graph, [args.to_label])
-    try:
-        report = dependency(graph, from_labels, to_label)
-    except EmptyUniverse as exc:
-        raise _Failure(1, payload={"error": "empty-universe",
-                                   "message": str(exc)}) from None
-    return report.to_json_dict()
+    return dependency(graph, args.from_labels.split(","),
+                      args.to_label).to_json_dict()
 
 
 def cmd_distance(args):
@@ -204,11 +209,7 @@ def cmd_distance(args):
     _, graph = _load_dataset(args.dataset)
     source = Node(_parse_node_key(args.source))
     target = Node(_parse_node_key(args.target))
-    try:
-        result = path_distance(graph, source, target)
-    except UnknownNode as exc:
-        raise _Failure(2, message=str(exc)) from None
-    return result.to_json_dict()
+    return path_distance(graph, source, target).to_json_dict()
 
 
 def cmd_synth(args):
@@ -220,29 +221,11 @@ def cmd_synth(args):
     except (RecursionError, ValueError) as exc:
         # also nesting past the recursion limit and integers with more
         # digits than the interpreter converts
-        raise _Failure(1, payload={
-            "error": "invalid-rule-spec",
-            "message": f"rule spec is not valid JSON: {exc}",
-        }) from None
+        raise InvalidRuleSpec(f"rule spec is not valid JSON: {exc}") from None
     try:
-        spec = rulespec_from_json(obj)
-        annset = generate_universe(spec)
-    except (InvalidRuleSpec, RecursionError) as exc:  # or nested too deep
-        raise _Failure(1, payload={"error": "invalid-rule-spec",
-                                   "message": str(exc)}) from None
-    except IncompleteRules as exc:
-        raise _Failure(1, payload={
-            "error": "incomplete-rules",
-            "message": str(exc),
-            "combination": list(exc.combination),
-        }) from None
-    except ContradictoryRules as exc:
-        raise _Failure(1, payload={
-            "error": "contradictory-rules",
-            "message": str(exc),
-            "combination": list(exc.combination),
-            "values": list(exc.values),
-        }) from None
+        annset = generate_universe(rulespec_from_json(obj))
+    except RecursionError as exc:  # a condition nested too deep
+        raise InvalidRuleSpec(str(exc)) from None
     payload = serialize_dataset(annset)
     try:
         with open(args.out, "wb") as handle:
@@ -316,15 +299,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         payload = args.func(args)
-    except _Failure as failure:
+    except Exception as exc:  # noqa: BLE001 - last-resort boundary
+        failure = _as_failure(exc)
         if failure.message:
             print(failure.message, file=sys.stderr)
         if failure.payload is not None:
             _emit(failure.payload)
         return failure.code
-    except Exception as exc:  # noqa: BLE001 - last-resort boundary
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     if payload is not None:
         _emit(payload)
     return 0

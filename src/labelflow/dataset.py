@@ -34,9 +34,6 @@ indent, so ``json.dumps(..., indent=2)`` falls back to a pure-Python
 encoder that yields every token through nested generators; this writer
 gives the same text with one join per container and the C string
 escaper, and writes a str value or item inline, with no call per leaf.
-For a ``graph`` payload of 1,615 nodes and 2,015 edges it takes 6.5 ms
-against 13.3 ms for ``json.dumps`` (best of 300, Python 3.11.7, 2-vCPU
-shared host).
 """
 
 from __future__ import annotations

@@ -135,7 +135,11 @@ def _report(query: dict, p: Partition, excluded: int) -> InfoReport:
 
 
 def label_report(graph: LabeledGraph, label: str) -> InfoReport:
-    """Entropy report for one label over its full domain."""
+    """Entropy report for one label over its full domain.
+
+    An undeclared label is an UnknownLabel; a declared one with no
+    annotation, an EmptyUniverse."""
+    graph.label(label)
     domain = graph.domain(label)
     if not domain:
         raise EmptyUniverse(f"label {label!r} has an empty domain")

@@ -7,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from labelflow import parse_dataset, serialize_dataset
+import labelflow.info
+from labelflow import (
+    LabelFlowError,
+    UniverseMismatch,
+    parse_dataset,
+    serialize_dataset,
+)
 from labelflow.cli import main
 from conftest import (
     EXAMPLE1_RULES,
@@ -262,23 +268,35 @@ class TestDistance:
         assert out == ""
         assert "bad node key" in err
 
-    def test_doc_id_with_colons(self, run, tmp_path):
+    @staticmethod
+    def assert_doc_id_round_trips(run, tmp_path, doc_id):
+        """The keys ``graph`` lists for ``doc_id`` are keys ``distance``
+        accepts, and its payload names the same nodes."""
         data = fig2_dataset()
-        data["documents"][0]["id"] = "a:b"
+        data["documents"][0]["id"] = doc_id
         for ann in data["annotations"]:
-            ann["doc"] = "a:b"
-        path = tmp_path / "colons.json"
+            ann["doc"] = doc_id
+        path = tmp_path / "ids.json"
         path.write_text(json.dumps(data))
         spans = fig2_spans()
-        woman = "a:b:{}-{}".format(*spans["woman"])
-        black = "a:b:{}-{}".format(*spans["black"])
+        woman = "{}:{}-{}".format(doc_id, *spans["woman"])
+        black = "{}:{}-{}".format(doc_id, *spans["black"])
+        code, out, err = run("graph", str(path))
+        assert {woman, black} <= {n["key"] for n in json.loads(out)["nodes"]}
         code, out, err = run("distance", str(path), "--from", woman,
                              "--to", black)
-        assert code == 0
+        assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["query"] == {"kind": "distance", "from": woman,
                                     "to": black}
         assert payload["path"][0]["nodes"][-1] == black
+
+    def test_doc_id_with_colons(self, run, tmp_path):
+        self.assert_doc_id_round_trips(run, tmp_path, "a:b")
+
+    @pytest.mark.parametrize("doc_id", ["", "a\nb"])
+    def test_every_listed_key_is_accepted(self, run, tmp_path, doc_id):
+        self.assert_doc_id_round_trips(run, tmp_path, doc_id)
 
 
 class TestSynth:
@@ -332,6 +350,53 @@ class TestSynth:
         path.write_text(json.dumps(EXAMPLE1_RULES))
         code, out, err = run("synth", str(path))
         assert code == 2
+
+
+class TestErrorBoundary:
+    """Exit 2 prints nothing on stdout and one exact line on stderr; a
+    failure outside the error table is exit 3, an internal error."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy", "--label", "nope"], "label 'nope' is not declared"),
+        (["entropy", "--path", "color,nope,zz"],
+         "label 'nope' is not declared"),
+        (["depend", "--from", "color,nope", "--to", "zz"],
+         "label 'nope' is not declared"),
+        (["depend", "--from", "color", "--to", "nope"],
+         "label 'nope' is not declared"),
+        (["distance", "--from", "d:1-3", "--to", "d:0-5"],
+         "node d:1-3 is not in the graph"),
+        (["distance", "--from", "junk", "--to", "d:0-5"],
+         "bad node key 'junk'; expected doc:start-end"),
+    ])
+    def test_usage_error_stderr(self, run, fig2_path, argv, message):
+        command, *flags = argv
+        assert run(command, fig2_path, *flags) == (2, "", message + "\n")
+
+    def test_missing_dataset_stderr(self, run, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(OSError) as exc:
+            open(path, "rb")
+        assert run("validate", path) == (
+            2, "", f"cannot read {path}: {exc.value}\n")
+
+    def test_unwritable_out_stderr(self, run, example1_paths, tmp_path):
+        rules, _ = example1_paths
+        out = str(tmp_path / "no" / "dir" / "x.json")
+        with pytest.raises(OSError) as exc:
+            open(out, "wb")
+        assert run("synth", rules, "--out", out) == (
+            2, "", f"cannot write {out}: {exc.value}\n")
+
+    @pytest.mark.parametrize("error", [UniverseMismatch, LabelFlowError])
+    def test_error_outside_table_is_internal(self, run, eq12_path,
+                                             monkeypatch, error):
+        def fail(graph, label):
+            raise error("boom")
+
+        monkeypatch.setattr(labelflow.info, "label_report", fail)
+        assert run("entropy", eq12_path, "--label", "class") == (
+            3, "", "internal error: boom\n")
 
 
 class TestDeterminism:

@@ -9,7 +9,8 @@ writes nothing or one payload to stdout (a DOT listing for ``graph
 --format dot`` on success, JSON otherwise), never a traceback or an
 internal error to stderr, and gives the same bytes when run twice.
 A dataset that validates round-trips through the canonical
-serialization byte for byte.
+serialization byte for byte, and every node key ``graph`` lists is
+accepted by ``distance``.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from conftest import mutated_datasets, valid_datasets
 
 INGEST = (["validate"], ["graph"], ["graph", "--format", "dot"])
 UNKNOWN_LABELS = ["nope", "", "f,nope", "-x", "é"]
+ODD_DOC_IDS = ["", "a\nb", "a:b", ":0-1", "0-1\n:"]
 UNKNOWN_KEYS = ["d:0-99", "nope:0-1", "d:3-0", "d:-1-3", "d0-3", "",
                 "d:0-" + "9" * 5000]
 
@@ -145,3 +147,25 @@ def test_valid_datasets_round_trip(dataset_path, obj, ensure_ascii):
     again = parse_dataset(once)
     assert again == annset
     assert serialize_dataset(again) == once
+
+
+@settings(max_examples=30)
+@given(valid_datasets(), st.data())
+def test_graph_keys_round_trip(dataset_path, obj, data):
+    """Every key ``graph`` lists is accepted by ``distance --from`` and
+    names that node, whatever the document id."""
+    ids = [doc["id"] for doc in obj["documents"]]
+    rename = dict(zip(ids, data.draw(st.permutations(ids + ODD_DOC_IDS))))
+    for doc in obj["documents"]:
+        doc["id"] = rename[doc["id"]]
+    for ann in obj["annotations"]:
+        ann["doc"] = rename[ann["doc"]]
+    dataset_path.write_bytes(encoded(obj, ensure_ascii=False))
+    path = str(dataset_path)
+    code, out, err = run(["graph", path])
+    assert code == 0, err
+    for node in json.loads(out)["nodes"]:
+        code, out, err = run(["distance", path, "--from", node["key"],
+                              "--to", node["key"]])
+        assert code == 0, err
+        assert json.loads(out)["query"]["from"] == node["key"]

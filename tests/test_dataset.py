@@ -22,10 +22,11 @@ from labelflow import (
     build_graph,
     generate_universe,
     parse_dataset,
+    region_contains,
     serialize_dataset,
     validate,
 )
-from labelflow.dataset import structural_parse
+from labelflow.dataset import _ingest, structural_parse
 from conftest import eq12_dataset, fig2_dataset, graph_of, random_rulespec
 
 MINIMAL = {
@@ -392,6 +393,22 @@ class TestValidate:
             ("bad-nesting", (1,))]
         with pytest.raises(BadNesting):
             build_graph(annset)
+
+    @given(st.lists(st.integers(-1, 10), min_size=4, max_size=4))
+    def test_ingest_nests_as_region_contains(self, offsets):
+        """``_ingest`` inlines its own bounds-and-nesting test; it must
+        accept a pair of spans exactly when both are in bounds and
+        ``region_contains`` holds."""
+        annset = structural_parse(as_json(MINIMAL))  # 9 bytes of text
+        mention = Region("d", offsets[0], offsets[1])
+        entity = Region("d", offsets[2], offsets[3])
+        annset.annotations[:] = [Annotation("color", mention, entity)]
+        findings, _ = _ingest(annset)
+        in_bounds = all(0 <= r.start < r.end <= 9 for r in (mention, entity))
+        flagged = {f.kind for f in findings} & {"bad-nesting",
+                                                 "span-out-of-bounds"}
+        assert (not flagged) == (in_bounds
+                                 and region_contains(entity, mention))
 
 
 class TestRoundTrip:

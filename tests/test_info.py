@@ -8,6 +8,7 @@ from labelflow import (
     Node,
     Partition,
     Region,
+    UnknownLabel,
     UnknownNode,
     build_graph,
     composite_loss,
@@ -154,6 +155,18 @@ class TestReports:
         assert report["entropy_nats"] == pytest.approx(math.log(3),
                                                        abs=1e-9)
         assert report["excluded_nodes"] == 0
+
+    def test_label_report_undeclared_label_is_unknown(self):
+        obj = eq12_dataset()
+        obj["labels"].append({"name": "unused", "direction": "forward"})
+        g = graph_of(obj)
+        with pytest.raises(UnknownLabel,
+                           match="^label 'nope' is not declared$"):
+            label_report(g, "nope")
+        # declared but never annotated: an empty domain
+        with pytest.raises(EmptyUniverse,
+                           match="^label 'unused' has an empty domain$"):
+            label_report(g, "unused")
 
     def test_path_report_uses_largest_completing_domain(self):
         g = graph_of(eq12_dataset())
